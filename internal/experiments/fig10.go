@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -51,17 +52,18 @@ func RunFig10(o Options) ([]*stats.Table, error) {
 
 func fig10Row(problems int, eps float64, seed int64) ([]string, error) {
 	groups := fig10Groups(problems, seed)
+	flat := flatBatch(groups)
 	opt := fermat.Options{Epsilon: eps}
 
 	startOrig := time.Now()
-	orig, err := fermat.SequentialBatch(groups, opt)
+	orig, err := streamBatch(groups, opt, false, false)
 	if err != nil {
 		return nil, err
 	}
 	dOrig := time.Since(startOrig)
 
 	startCB := time.Now()
-	cb, err := fermat.CostBoundBatch(groups, opt)
+	cb, err := costBound(flat, opt, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -103,4 +105,43 @@ func fig10Groups(problems int, seed int64) []fermat.Group {
 		groups[gi] = g
 	}
 	return groups
+}
+
+// flatBatch packs groups into the optimizer's structure-of-arrays layout as
+// one zero-offset problem.
+func flatBatch(groups []fermat.Group) fermat.FlatProblem {
+	g := &fermat.FlatGroups{Starts: make([]int32, 0, len(groups)+1)}
+	var w []float64
+	for _, grp := range groups {
+		g.Starts = append(g.Starts, int32(len(g.X)))
+		for _, p := range grp {
+			g.X = append(g.X, p.P.X)
+			g.Y = append(g.Y, p.P.Y)
+			w = append(w, p.W)
+		}
+	}
+	g.Starts = append(g.Starts, int32(len(g.X)))
+	return fermat.FlatProblem{Geom: g, W: w}
+}
+
+// costBound runs the production Algorithm 5 driver on one problem.
+func costBound(p fermat.FlatProblem, opt fermat.Options, workers int) (fermat.BatchResult, error) {
+	out, err := fermat.CostBoundMultiBatchFlatCtx(context.Background(), []fermat.FlatProblem{p}, opt, workers)
+	if err != nil {
+		return fermat.BatchResult{}, err
+	}
+	return out[0], nil
+}
+
+// streamBatch offers every group in order to a Streamer with Algorithm 5's
+// two pruning mechanisms toggled independently; with both off it is the
+// "Original" baseline.
+func streamBatch(groups []fermat.Group, opt fermat.Options, prefilter, iterBound bool) (fermat.BatchResult, error) {
+	s := fermat.NewStreamerVariant(opt, prefilter, iterBound)
+	for _, g := range groups {
+		if err := s.Offer(g, 0); err != nil {
+			return fermat.BatchResult{}, err
+		}
+	}
+	return s.Result()
 }

@@ -282,11 +282,11 @@ func TestBatchAgreement(t *testing.T) {
 		groups[gi] = g
 	}
 	opt := Options{Epsilon: 1e-4}
-	cb, err := CostBoundBatch(groups, opt)
+	cb, err := solveFlat(groups, nil, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := SequentialBatch(groups, opt)
+	seq, err := stream(groups, nil, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +302,14 @@ func TestBatchAgreement(t *testing.T) {
 }
 
 func TestBatchEmpty(t *testing.T) {
-	if _, err := CostBoundBatch(nil, Options{}); err != ErrNoPoints {
+	if _, err := solveFlat(nil, nil, Options{}, 1); err != ErrNoPoints {
 		t.Fatalf("want ErrNoPoints, got %v", err)
 	}
-	if _, err := SequentialBatch([]Group{{}}, Options{}); err != ErrNoPoints {
+	if _, err := solveFlat([]Group{{}}, nil, Options{}, 1); err != ErrNoPoints {
 		t.Fatalf("want ErrNoPoints for all-empty groups, got %v", err)
+	}
+	if _, err := stream([]Group{{}}, nil, Options{}, false); err != ErrNoPoints {
+		t.Fatalf("want ErrNoPoints for all-empty stream, got %v", err)
 	}
 }
 
@@ -317,7 +320,7 @@ func TestBatchMixedFastPaths(t *testing.T) {
 		{wp(0, 0, 1), wp(4, 0, 1), wp(2, 3, 1)},              // three points
 		{wp(0, 0, 1), wp(1, 0, 1), wp(2, 0, 1), wp(3, 0, 1)}, // collinear
 	}
-	res, err := CostBoundBatch(groups, Options{})
+	res, err := solveFlat(groups, nil, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +334,7 @@ func TestBatchMixedFastPaths(t *testing.T) {
 		t.Fatalf("single-point group should win with zero cost, got %+v", res)
 	}
 	// Without the cost bound every group takes its exact fast path.
-	seq, err := SequentialBatch(groups, Options{})
+	seq, err := stream(groups, nil, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,62 @@ import (
 	"molq/internal/geom"
 )
 
+// flatten packs slice-of-structs groups and their offsets into one flat
+// problem, caching pair distances the way the query layer does.
+func flatten(groups []Group, offsets []float64) FlatProblem {
+	fg := &FlatGroups{Starts: make([]int32, 0, len(groups)+1), PairDist: make([]float64, len(groups))}
+	var w []float64
+	for gi, g := range groups {
+		fg.Starts = append(fg.Starts, int32(len(fg.X)))
+		for _, p := range g {
+			fg.X = append(fg.X, p.P.X)
+			fg.Y = append(fg.Y, p.P.Y)
+			w = append(w, p.W)
+		}
+		if len(g) >= 2 {
+			fg.PairDist[gi] = g[0].P.Dist(g[1].P)
+		}
+	}
+	fg.Starts = append(fg.Starts, int32(len(fg.X)))
+	return FlatProblem{Geom: fg, W: w, Offsets: offsets}
+}
+
+// solveFlat runs the batch driver on one problem.
+func solveFlat(groups []Group, offsets []float64, opt Options, workers int) (BatchResult, error) {
+	out, err := CostBoundMultiBatchFlatCtx(context.Background(), []FlatProblem{flatten(groups, offsets)}, opt, workers)
+	if err != nil {
+		return BatchResult{}, err
+	}
+	return out[0], nil
+}
+
+// stream is the reference scan: every group offered in index order to a
+// Streamer, with (useBound) or without Algorithm 5 pruning.
+func stream(groups []Group, offsets []float64, opt Options, useBound bool) (BatchResult, error) {
+	s := NewStreamer(opt, useBound)
+	for gi, g := range groups {
+		off := 0.0
+		if offsets != nil {
+			off = offsets[gi]
+		}
+		if err := s.Offer(g, off); err != nil {
+			return BatchResult{}, err
+		}
+	}
+	return s.Result()
+}
+
+// sliceProblem is one weight vector's batch in slice-of-structs form, the
+// input of the Streamer reference.
+type sliceProblem struct {
+	groups  []Group
+	offsets []float64
+}
+
 // randomFlatInstance builds one multi-batch instance in both layouts: nv
 // weight-vector problems over ng shared groups whose sizes run from empty
 // through the 1/2/3-point fast paths to iterative sizes.
-func randomFlatInstance(r *rand.Rand, ng, nv int, withOffsets bool) ([]BatchProblem, []FlatProblem, *FlatGroups) {
+func randomFlatInstance(r *rand.Rand, ng, nv int, withOffsets bool) ([]sliceProblem, []FlatProblem) {
 	sizes := make([]int, ng)
 	for i := range sizes {
 		switch r.Intn(6) {
@@ -25,35 +77,20 @@ func randomFlatInstance(r *rand.Rand, ng, nv int, withOffsets bool) ([]BatchProb
 			sizes[i] = 4 + r.Intn(8)
 		}
 	}
-	// One group in each instance is empty: both drivers must skip it.
+	// One group in each instance is empty: the driver must skip it.
 	sizes[r.Intn(ng)] = 0
-
-	fg := &FlatGroups{Starts: make([]int32, 0, ng+1)}
 	base := make([][]geom.Point, ng)
 	for gi, n := range sizes {
-		fg.Starts = append(fg.Starts, int32(len(fg.X)))
-		pts := make([]geom.Point, n)
-		for k := range pts {
-			pts[k] = geom.Pt(r.Float64()*100, r.Float64()*100)
-		}
-		base[gi] = pts
-		for _, p := range pts {
-			fg.X = append(fg.X, p.X)
-			fg.Y = append(fg.Y, p.Y)
-		}
-	}
-	fg.Starts = append(fg.Starts, int32(len(fg.X)))
-	fg.PairDist = make([]float64, ng)
-	for gi, pts := range base {
-		if len(pts) >= 2 {
-			fg.PairDist[gi] = pts[0].Dist(pts[1])
+		base[gi] = make([]geom.Point, n)
+		for k := range base[gi] {
+			base[gi][k] = geom.Pt(r.Float64()*100, r.Float64()*100)
 		}
 	}
 
-	aos := make([]BatchProblem, nv)
+	slices := make([]sliceProblem, nv)
 	flat := make([]FlatProblem, nv)
-	for vi := 0; vi < nv; vi++ {
-		w := make([]float64, len(fg.X))
+	var fg *FlatGroups
+	for vi := range slices {
 		groups := make([]Group, ng)
 		var offsets []float64
 		if withOffsets {
@@ -61,21 +98,23 @@ func randomFlatInstance(r *rand.Rand, ng, nv int, withOffsets bool) ([]BatchProb
 		}
 		for gi, pts := range base {
 			g := make(Group, len(pts))
-			s := int(fg.Starts[gi])
 			for k, p := range pts {
-				wk := 0.1 + r.Float64()*3
-				w[s+k] = wk
-				g[k] = WeightedPoint{P: p, W: wk}
+				g[k] = WeightedPoint{P: p, W: 0.1 + r.Float64()*3}
 			}
 			groups[gi] = g
 			if withOffsets {
 				offsets[gi] = r.Float64() * 5
 			}
 		}
-		aos[vi] = BatchProblem{Groups: groups, Offsets: offsets, PairDist: fg.PairDist}
-		flat[vi] = FlatProblem{Geom: fg, W: w, Offsets: offsets}
+		slices[vi] = sliceProblem{groups, offsets}
+		flat[vi] = flatten(groups, offsets)
+		// Every vector shares one geometry, as in Engine.QueryBatch.
+		if fg == nil {
+			fg = flat[vi].Geom
+		}
+		flat[vi].Geom = fg
 	}
-	return aos, flat, fg
+	return slices, flat
 }
 
 func checkBatchesEqual(t *testing.T, tag string, want, got []BatchResult) {
@@ -94,68 +133,78 @@ func checkBatchesEqual(t *testing.T, tag string, want, got []BatchResult) {
 	}
 }
 
+// streamAll solves every problem of an instance with the Streamer reference.
+func streamAll(t *testing.T, slices []sliceProblem) []BatchResult {
+	t.Helper()
+	want := make([]BatchResult, len(slices))
+	for vi, sp := range slices {
+		res, err := stream(sp.groups, sp.offsets, Options{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[vi] = res
+	}
+	return want
+}
+
 // TestFlatMultiBatchMatchesSlices cross-checks the flat multi-batch driver
-// against the slice-of-structs one on random instances: same winners, same
-// costs, bit for bit — both sequential and parallel, with and without
-// offsets. Parallel pruning statistics are schedule-dependent, so only the
-// results are compared.
+// against in-order Streamer scans of the same problems in slice-of-structs
+// form on random instances: same winners, same costs, bit for bit — both
+// sequential (warm-started) and parallel, with and without offsets. The
+// instances hold tied 1-point groups, so this also pins the tie rule.
+// Solved alone and sequentially, a problem is scanned in the Streamer's
+// order, so even the work counters must agree.
 func TestFlatMultiBatchMatchesSlices(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	ctx := context.Background()
 	for trial := 0; trial < 30; trial++ {
-		aos, flat, _ := randomFlatInstance(r, 3+r.Intn(20), 1+r.Intn(4), trial%2 == 1)
+		slices, flat := randomFlatInstance(r, 3+r.Intn(20), 1+r.Intn(4), trial%2 == 1)
+		want := streamAll(t, slices)
 		for _, workers := range []int{1, 4} {
-			want, err := CostBoundMultiBatchCtx(ctx, aos, Options{}, workers)
-			if err != nil {
-				t.Fatalf("trial %d workers %d: slice driver: %v", trial, workers, err)
-			}
 			got, err := CostBoundMultiBatchFlatCtx(ctx, flat, Options{}, workers)
 			if err != nil {
-				t.Fatalf("trial %d workers %d: flat driver: %v", trial, workers, err)
+				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
 			checkBatchesEqual(t, "multi", want, got)
-			// Sequential scans share the warm-start order, so even the work
-			// counters must agree.
-			if workers == 1 {
-				for vi := range want {
-					if want[vi].Stats != got[vi].Stats {
-						t.Fatalf("trial %d vector %d: flat stats %+v != %+v", trial, vi, got[vi].Stats, want[vi].Stats)
-					}
-				}
+		}
+		for vi := range flat {
+			alone, err := CostBoundMultiBatchFlatCtx(ctx, flat[vi:vi+1], Options{}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alone[0].Stats != want[vi].Stats {
+				t.Fatalf("trial %d vector %d: flat stats %+v != %+v", trial, vi, alone[0].Stats, want[vi].Stats)
 			}
 		}
 	}
 }
 
-// TestFlatBatchMatchesParallel cross-checks the single-problem flat driver
-// against CostBoundBatchParallelCtx.
+// TestFlatBatchMatchesParallel checks that a single problem returns the
+// Streamer's answer at every worker count.
 func TestFlatBatchMatchesParallel(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	ctx := context.Background()
 	for trial := 0; trial < 20; trial++ {
-		aos, flat, _ := randomFlatInstance(r, 4+r.Intn(16), 1, trial%2 == 0)
-		for _, workers := range []int{1, 4} {
-			want, err := CostBoundBatchParallelCtx(ctx, aos[0].Groups, aos[0].Offsets, Options{}, workers)
+		slices, flat := randomFlatInstance(r, 4+r.Intn(16), 1, trial%2 == 0)
+		want := streamAll(t, slices)
+		for _, workers := range []int{1, 2, 4} {
+			got, err := CostBoundMultiBatchFlatCtx(ctx, flat, Options{}, workers)
 			if err != nil {
-				t.Fatalf("trial %d workers %d: slice driver: %v", trial, workers, err)
+				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
-			got, err := CostBoundBatchFlatCtx(ctx, flat[0], Options{}, workers)
-			if err != nil {
-				t.Fatalf("trial %d workers %d: flat driver: %v", trial, workers, err)
-			}
-			checkBatchesEqual(t, "single", []BatchResult{want}, []BatchResult{got})
+			checkBatchesEqual(t, "single", want, got)
 		}
 	}
 }
 
-// TestFlatValidation pins the error contract of the flat entry points.
+// TestFlatValidation pins the error contract of the flat driver.
 func TestFlatValidation(t *testing.T) {
 	ctx := context.Background()
 	ok := FlatProblem{
 		Geom: &FlatGroups{X: []float64{0, 1}, Y: []float64{0, 0}, Starts: []int32{0, 2}},
 		W:    []float64{1, 2},
 	}
-	if _, err := CostBoundBatchFlatCtx(ctx, ok, Options{}, 1); err != nil {
+	if _, err := CostBoundMultiBatchFlatCtx(ctx, []FlatProblem{ok}, Options{}, 1); err != nil {
 		t.Fatalf("valid problem rejected: %v", err)
 	}
 	cases := []struct {
@@ -173,19 +222,18 @@ func TestFlatValidation(t *testing.T) {
 		}, ErrBadPairDist},
 	}
 	for _, tc := range cases {
-		if _, err := CostBoundBatchFlatCtx(ctx, tc.p, Options{}, 1); err != tc.want {
-			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
-		}
-		if _, err := CostBoundMultiBatchFlatCtx(ctx, []FlatProblem{tc.p}, Options{}, 1); err != tc.want {
-			t.Errorf("%s (multi): err %v, want %v", tc.name, err, tc.want)
+		for _, workers := range []int{1, 4} {
+			if _, err := CostBoundMultiBatchFlatCtx(ctx, []FlatProblem{ok, tc.p}, Options{}, workers); err != tc.want {
+				t.Errorf("%s (workers %d): err %v, want %v", tc.name, workers, err, tc.want)
+			}
 		}
 	}
 }
 
-// TestFlatCancellation checks a canceled context stops the flat drivers.
+// TestFlatCancellation checks a canceled context stops the driver.
 func TestFlatCancellation(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	_, flat, _ := randomFlatInstance(r, 64, 4, false)
+	_, flat := randomFlatInstance(r, 64, 4, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := CostBoundMultiBatchFlatCtx(ctx, flat, Options{}, 1); err != context.Canceled {
@@ -194,7 +242,7 @@ func TestFlatCancellation(t *testing.T) {
 	if _, err := CostBoundMultiBatchFlatCtx(ctx, flat, Options{}, 4); err != context.Canceled {
 		t.Fatalf("parallel: err %v, want context.Canceled", err)
 	}
-	if _, err := CostBoundBatchFlatCtx(ctx, flat[0], Options{}, 4); err != context.Canceled {
+	if _, err := CostBoundMultiBatchFlatCtx(ctx, flat[:1], Options{}, 4); err != context.Canceled {
 		t.Fatalf("single: err %v, want context.Canceled", err)
 	}
 }
@@ -210,13 +258,13 @@ func TestFlatTwoPointExactness(t *testing.T) {
 		if i%2 == 0 {
 			fg.PairDist = []float64{a.Dist(b)}
 		}
-		got, err := CostBoundBatchFlatCtx(context.Background(), FlatProblem{Geom: fg, W: []float64{wa, wb}}, Options{}, 1)
+		got, err := CostBoundMultiBatchFlatCtx(context.Background(), []FlatProblem{{Geom: fg, W: []float64{wa, wb}}}, Options{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := solve2([]WeightedPoint{{P: a, W: wa}, {P: b, W: wb}})
-		if got.Loc != want.Loc || got.Cost != want.Cost {
-			t.Fatalf("iter %d: flat 2-point (%v, %v) != solve2 (%v, %v)", i, got.Loc, got.Cost, want.Loc, want.Cost)
+		if got[0].Loc != want.Loc || got[0].Cost != want.Cost {
+			t.Fatalf("iter %d: flat 2-point (%v, %v) != solve2 (%v, %v)", i, got[0].Loc, got[0].Cost, want.Loc, want.Cost)
 		}
 	}
 }

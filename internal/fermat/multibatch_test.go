@@ -1,7 +1,7 @@
 package fermat
 
 import (
-	"math"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,8 +9,9 @@ import (
 )
 
 // randomProblems builds n independent batches over shared point geometry
-// with per-batch weights, like QueryBatch's per-weight-vector problems.
-func randomProblems(r *rand.Rand, n, groups, pts int) []BatchProblem {
+// with per-batch weights and offsets, like QueryBatch's per-weight-vector
+// problems.
+func randomProblems(r *rand.Rand, n, groups, pts int) []sliceProblem {
 	base := make([][]geom.Point, groups)
 	for gi := range base {
 		ps := make([]geom.Point, pts)
@@ -19,7 +20,7 @@ func randomProblems(r *rand.Rand, n, groups, pts int) []BatchProblem {
 		}
 		base[gi] = ps
 	}
-	out := make([]BatchProblem, n)
+	out := make([]sliceProblem, n)
 	for pi := range out {
 		gs := make([]Group, groups)
 		offs := make([]float64, groups)
@@ -31,7 +32,7 @@ func randomProblems(r *rand.Rand, n, groups, pts int) []BatchProblem {
 			gs[gi] = g
 			offs[gi] = r.Float64() * 2
 		}
-		out[pi] = BatchProblem{Groups: gs, Offsets: offs}
+		out[pi] = sliceProblem{gs, offs}
 	}
 	return out
 }
@@ -44,44 +45,37 @@ func TestMultiBatchMatchesSequential(t *testing.T) {
 	problems := randomProblems(r, 9, 12, 6)
 	opt := Options{Epsilon: 1e-9}
 	want := make([]BatchResult, len(problems))
+	flat := make([]FlatProblem, len(problems))
 	for pi, p := range problems {
-		res, err := CostBoundBatchOffsets(p.Groups, p.Offsets, opt)
+		res, err := stream(p.groups, p.offsets, opt, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[pi] = res
+		flat[pi] = flatten(p.groups, p.offsets)
 	}
 	for _, workers := range []int{0, 1, 2, 4, 16} {
-		got, err := CostBoundMultiBatch(problems, opt, workers)
+		got, err := CostBoundMultiBatchFlatCtx(context.Background(), flat, opt, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results for %d problems", workers, len(got), len(problems))
-		}
-		for pi := range got {
-			if math.Abs(got[pi].Cost-want[pi].Cost) > 1e-6*(1+want[pi].Cost) {
-				t.Fatalf("workers=%d problem %d: cost %v, want %v", workers, pi, got[pi].Cost, want[pi].Cost)
-			}
-			if got[pi].Loc.Dist(want[pi].Loc) > 1e-4 {
-				t.Fatalf("workers=%d problem %d: loc %v, want %v", workers, pi, got[pi].Loc, want[pi].Loc)
-			}
-		}
+		checkBatchesEqual(t, "multi", want, got)
 	}
 }
 
 // TestMultiBatchValidation covers the error surface: empty input, an empty
 // problem, and mismatched offsets.
 func TestMultiBatchValidation(t *testing.T) {
-	if out, err := CostBoundMultiBatch(nil, Options{}, 4); err != nil || out != nil {
+	ctx := context.Background()
+	if out, err := CostBoundMultiBatchFlatCtx(ctx, nil, Options{}, 4); err != nil || out != nil {
 		t.Fatalf("empty input: got (%v, %v)", out, err)
 	}
-	g := Group{{P: geom.Pt(0, 0), W: 1}, {P: geom.Pt(1, 1), W: 1}}
-	if _, err := CostBoundMultiBatch([]BatchProblem{{Groups: nil}}, Options{}, 4); err != ErrNoPoints {
+	if _, err := CostBoundMultiBatchFlatCtx(ctx, []FlatProblem{flatten(nil, nil)}, Options{}, 4); err != ErrNoPoints {
 		t.Fatalf("empty problem: got %v, want ErrNoPoints", err)
 	}
-	bad := []BatchProblem{{Groups: []Group{g}, Offsets: []float64{1, 2}}}
-	if _, err := CostBoundMultiBatch(bad, Options{}, 4); err != ErrBadOffsets {
+	g := Group{{P: geom.Pt(0, 0), W: 1}, {P: geom.Pt(1, 1), W: 1}}
+	bad := []FlatProblem{flatten([]Group{g}, []float64{1, 2})}
+	if _, err := CostBoundMultiBatchFlatCtx(ctx, bad, Options{}, 4); err != ErrBadOffsets {
 		t.Fatalf("bad offsets: got %v, want ErrBadOffsets", err)
 	}
 }

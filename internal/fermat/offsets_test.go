@@ -25,7 +25,7 @@ func TestOffsetsChangeWinner(t *testing.T) {
 		{wp(0, 0, 1)},
 		{wp(10, 10, 1)},
 	}
-	res, err := CostBoundBatchOffsets(groups, []float64{5, 1}, Options{})
+	res, err := solveFlat(groups, []float64{5, 1}, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestOffsetsBatchAgreement(t *testing.T) {
 		offsets[i] = r.Float64() * 500
 	}
 	opt := Options{Epsilon: 1e-5}
-	cb, err := CostBoundBatchOffsets(groups, offsets, opt)
+	cb, err := solveFlat(groups, offsets, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := SequentialBatchOffsets(groups, offsets, opt)
+	seq, err := stream(groups, offsets, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,19 +65,19 @@ func TestOffsetsBatchAgreement(t *testing.T) {
 
 func TestOffsetsValidation(t *testing.T) {
 	groups := randomGroups(1, 3, 4)
-	if _, err := CostBoundBatchOffsets(groups, []float64{1}, Options{}); err != ErrBadOffsets {
+	if _, err := solveFlat(groups, []float64{1}, Options{}, 1); err != ErrBadOffsets {
 		t.Fatalf("want ErrBadOffsets, got %v", err)
 	}
 	// nil offsets behave like zeros.
-	a, err := CostBoundBatchOffsets(groups, nil, Options{Epsilon: 1e-6})
+	a, err := solveFlat(groups, nil, Options{Epsilon: 1e-6}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CostBoundBatch(groups, Options{Epsilon: 1e-6})
+	b, err := solveFlat(groups, make([]float64, len(groups)), Options{Epsilon: 1e-6}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.Cost-b.Cost) > 1e-9 {
-		t.Fatalf("nil offsets diverge: %v vs %v", a.Cost, b.Cost)
+	if a.Cost != b.Cost || a.GroupIndex != b.GroupIndex {
+		t.Fatalf("nil offsets diverge: %+v vs %+v", a, b)
 	}
 }

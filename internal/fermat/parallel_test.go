@@ -9,17 +9,17 @@ import (
 func TestParallelMatchesSequential(t *testing.T) {
 	groups := randomGroups(77, 200, 5)
 	opt := Options{Epsilon: 1e-5}
-	seq, err := CostBoundBatch(groups, opt)
+	seq, err := solveFlat(groups, nil, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		par, err := CostBoundBatchParallel(groups, nil, opt, workers)
+		par, err := solveFlat(groups, nil, opt, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if rel := math.Abs(par.Cost-seq.Cost) / seq.Cost; rel > 1e-6 {
-			t.Fatalf("workers=%d: cost %v vs sequential %v", workers, par.Cost, seq.Cost)
+		if par.Cost != seq.Cost || par.Loc != seq.Loc {
+			t.Fatalf("workers=%d: (%v, %v) vs sequential (%v, %v)", workers, par.Loc, par.Cost, seq.Loc, seq.Cost)
 		}
 		if par.GroupIndex != seq.GroupIndex {
 			t.Fatalf("workers=%d: winner %d vs %d", workers, par.GroupIndex, seq.GroupIndex)
@@ -38,38 +38,38 @@ func TestParallelWithOffsets(t *testing.T) {
 		offsets[i] = r.Float64() * 300
 	}
 	opt := Options{Epsilon: 1e-5}
-	seq, err := CostBoundBatchOffsets(groups, offsets, opt)
+	seq, err := solveFlat(groups, offsets, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CostBoundBatchParallel(groups, offsets, opt, 4)
+	par, err := solveFlat(groups, offsets, opt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := math.Abs(par.Cost-seq.Cost) / seq.Cost; rel > 1e-6 {
-		t.Fatalf("cost %v vs %v", par.Cost, seq.Cost)
+	if par.Cost != seq.Cost || par.GroupIndex != seq.GroupIndex {
+		t.Fatalf("parallel %+v vs sequential %+v", par, seq)
 	}
 }
 
 func TestParallelEdgeCases(t *testing.T) {
-	if _, err := CostBoundBatchParallel(nil, nil, Options{}, 4); err != ErrNoPoints {
+	if _, err := solveFlat(nil, nil, Options{}, 4); err != ErrNoPoints {
 		t.Fatalf("want ErrNoPoints, got %v", err)
 	}
 	groups := randomGroups(9, 3, 5)
-	if _, err := CostBoundBatchParallel(groups, []float64{1}, Options{}, 4); err != ErrBadOffsets {
+	if _, err := solveFlat(groups, []float64{1}, Options{}, 4); err != ErrBadOffsets {
 		t.Fatalf("want ErrBadOffsets, got %v", err)
 	}
 	// workers > groups and workers <= 0 both still work.
-	a, err := CostBoundBatchParallel(groups, nil, Options{}, 100)
+	a, err := solveFlat(groups, nil, Options{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CostBoundBatchParallel(groups, nil, Options{}, -1)
+	b, err := solveFlat(groups, nil, Options{}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.Cost-b.Cost) > 1e-9 {
-		t.Fatalf("worker-count variants disagree: %v vs %v", a.Cost, b.Cost)
+	if a.Cost != b.Cost || a.GroupIndex != b.GroupIndex {
+		t.Fatalf("worker-count variants disagree: %+v vs %+v", a, b)
 	}
 }
 

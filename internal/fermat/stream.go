@@ -2,10 +2,18 @@ package fermat
 
 import "math"
 
+// Group is one Fermat-Weber problem offered to a Streamer (the point set
+// associated with one OVR in the MOLQ optimizer).
+type Group []WeightedPoint
+
 // Streamer evaluates Algorithm 5 incrementally: groups are offered one at a
-// time and the global cost bound is maintained across offers. It backs both
-// the in-memory batch solvers and the disk-based pipeline, which streams
-// OVR combinations from a spill file without materialising them.
+// time, in index order, and the global cost bound is maintained across
+// offers. It backs the disk-based pipeline, which streams OVR combinations
+// from a spill file without materialising them, the "Original" baseline of
+// Fig 10 (no pruning) and the mechanism ablation. Because groups arrive in
+// index order and only a strictly cheaper group replaces the incumbent, the
+// lowest-index group wins among exact-cost ties — the same rule as
+// CostBoundMultiBatchFlatCtx.
 type Streamer struct {
 	opt       Options
 	prefilter bool // Alg 5 lines 9-12: two-point upper-bound skip
@@ -37,20 +45,6 @@ func NewStreamerVariant(opt Options, prefilter, iterBound bool) *Streamer {
 // Offer processes one Fermat-Weber problem with constant cost offset off.
 // Empty groups are ignored.
 func (s *Streamer) Offer(g Group, off float64) error {
-	return s.offer(g, off, math.NaN())
-}
-
-// OfferTwoPointCost is Offer with a caller-supplied two-point optimum cost
-// for the prefilter. The optimum of g[:2] is min(W₀,W₁)·d(P₀,P₁) and the
-// distance does not depend on the weights, so batched callers evaluating the
-// same geometry under many weight vectors precompute the distances once and
-// skip the per-offer sqrt (see CostBoundMultiBatch). Pass NaN to have the
-// prefilter computed from the group itself.
-func (s *Streamer) OfferTwoPointCost(g Group, off, twoCost float64) error {
-	return s.offer(g, off, twoCost)
-}
-
-func (s *Streamer) offer(g Group, off, twoCost float64) error {
 	gi := s.count
 	s.count++
 	if len(g) == 0 {
@@ -63,33 +57,20 @@ func (s *Streamer) offer(g Group, off, twoCost float64) error {
 	// 3-point and collinear ones the exact fast paths handle below. For
 	// n-type queries with small n this is the only pruning that ever fires.
 	if s.prefilter && len(g) >= 3 && !math.IsInf(s.cbound, 1) {
-		if math.IsNaN(twoCost) {
-			twoCost = solve2(g[:2]).Cost
-		}
-		if twoCost+off > s.cbound {
+		if solve2(g[:2]).Cost+off > s.cbound {
 			s.best.Stats.Prefiltered++
 			return nil
 		}
 	}
 	var res Result
-	var err error
-	fast := len(g) <= 3
-	if !fast {
-		if _, ok := collinear(g); ok {
-			fast = true
-		}
-	}
-	switch {
-	case len(g) == 2 && !math.IsNaN(twoCost):
-		res = solve2Precomputed(g, twoCost)
-		s.best.Stats.ExactSolves++
-	case fast:
+	if len(g) <= 3 || isCollinear(g) {
+		var err error
 		res, err = Solve(g, s.opt)
 		if err != nil {
 			return err
 		}
 		s.best.Stats.ExactSolves++
-	default:
+	} else {
 		bound := math.Inf(1)
 		if s.iterBound {
 			bound = s.cbound - off
@@ -110,9 +91,6 @@ func (s *Streamer) offer(g Group, off, twoCost float64) error {
 	return nil
 }
 
-// Bound returns the current global cost bound (+Inf before any solution).
-func (s *Streamer) Bound() float64 { return s.cbound }
-
 // Result finalises the stream. It returns ErrNoPoints when no non-empty
 // group was offered.
 func (s *Streamer) Result() (BatchResult, error) {
@@ -120,4 +98,10 @@ func (s *Streamer) Result() (BatchResult, error) {
 		return s.best, ErrNoPoints
 	}
 	return s.best, nil
+}
+
+// isCollinear reports whether a group takes the exact collinear fast path.
+func isCollinear(g Group) bool {
+	_, ok := collinear(g)
+	return ok
 }

@@ -124,7 +124,8 @@ type Input struct {
 	// plus a balanced parallel reduction of the ⊕ chain), and the
 	// cost-bound Optimizer (shared atomic bound). 0 or 1 runs sequentially;
 	// sequential evaluation is fully deterministic, parallel evaluation
-	// returns the same optimum with nondeterministic statistics.
+	// returns the same optimum (ties go to the lowest-index combination)
+	// with nondeterministic work statistics.
 	Workers int
 	// PruneOverlap enables the Sec-8 future-work optimisation: combinations
 	// whose best possible cost (a box lower bound) exceeds a sampled upper
@@ -252,23 +253,78 @@ func (in *Input) options() fermat.Options {
 	return fermat.Options{Epsilon: in.Epsilon, Acceleration: in.Acceleration}
 }
 
-// toProblem folds a combination into a Fermat-Weber problem. With the
-// multiplicative ς^o, WD = (w^t·w^o)·d — a pure weight. With the additive
-// ς^o, WD = w^t·(d + w^o) = w^t·d + w^t·w^o — weight w^t plus a constant
-// that accumulates into the group's offset.
+// fold returns object o's Fermat-Weber weight and constant cost term. With
+// the multiplicative ς^o, WD = (w^t·w^o)·d — a pure weight. With the
+// additive ς^o, WD = w^t·(d + w^o) = w^t·d + w^t·w^o — weight w^t plus a
+// constant that accumulates into the group's offset.
+func (in *Input) fold(o core.Object) (w, off float64) {
+	if in.kind(o.Type) == AdditiveObjWeights {
+		return o.TypeWeight, o.TypeWeight * o.ObjWeight
+	}
+	return o.TypeWeight * o.ObjWeight, 0
+}
+
+// toProblem folds a combination into a Fermat-Weber problem and its offset.
 func (in *Input) toProblem(objs []core.Object) (fermat.Group, float64) {
 	g := make(fermat.Group, len(objs))
 	offset := 0.0
 	for i, o := range objs {
-		switch in.kind(o.Type) {
-		case AdditiveObjWeights:
-			g[i] = fermat.WeightedPoint{P: o.Loc, W: o.TypeWeight}
-			offset += o.TypeWeight * o.ObjWeight
-		default:
-			g[i] = fermat.WeightedPoint{P: o.Loc, W: o.TypeWeight * o.ObjWeight}
-		}
+		w, off := in.fold(o)
+		g[i] = fermat.WeightedPoint{P: o.Loc, W: w}
+		offset += off
 	}
 	return g, offset
+}
+
+// optimize runs Module 3 of Fig 3 over the final diagram's combinations: the
+// Algorithm 5 batch driver over a flat problem, in parallel only when
+// Workers > 1, or the "Original" exhaustive scan with DisableCostBound.
+func (in *Input) optimize(ctx context.Context, combos [][]core.Object) (fermat.BatchResult, error) {
+	if in.DisableCostBound {
+		return in.scanOriginal(ctx, combos)
+	}
+	g := flatGroups(combos)
+	p := fermat.FlatProblem{Geom: &g, W: make([]float64, 0, len(g.X))}
+	for ti := range in.Sets {
+		if in.kind(ti) == AdditiveObjWeights {
+			p.Offsets = make([]float64, len(combos))
+			break
+		}
+	}
+	for ci, c := range combos {
+		for _, o := range c {
+			w, off := in.fold(o)
+			p.W = append(p.W, w)
+			if p.Offsets != nil {
+				p.Offsets[ci] += off
+			}
+		}
+	}
+	out, err := fermat.CostBoundMultiBatchFlatCtx(ctx, []fermat.FlatProblem{p}, in.options(), max(in.Workers, 1))
+	if err != nil {
+		return fermat.BatchResult{}, err
+	}
+	return out[0], nil
+}
+
+// scanOriginal is the "Original" baseline of Fig 10: every combination is
+// solved to the ε stopping rule with no pruning, then the best is selected.
+func (in *Input) scanOriginal(ctx context.Context, combos [][]core.Object) (fermat.BatchResult, error) {
+	s := fermat.NewStreamer(in.options(), false)
+	done := ctx.Done()
+	for ci, c := range combos {
+		if done != nil && ci%64 == 0 {
+			select {
+			case <-done:
+				return fermat.BatchResult{}, ctx.Err()
+			default:
+			}
+		}
+		if err := s.Offer(in.toProblem(c)); err != nil {
+			return fermat.BatchResult{}, err
+		}
+	}
+	return s.Result()
 }
 
 // Solve evaluates the query with the chosen method.
@@ -586,21 +642,8 @@ func solveMOVD(ctx context.Context, in Input, method Method) (Result, error) {
 	optSpan := root.Child("optimize")
 	optStart := time.Now()
 	combos := acc.Groups()
-	groups := make([]fermat.Group, len(combos))
-	offsets := make([]float64, len(combos))
-	for i, c := range combos {
-		groups[i], offsets[i] = in.toProblem(c)
-	}
-	res.Stats.Groups = len(groups)
-	var batch fermat.BatchResult
-	switch {
-	case in.DisableCostBound:
-		batch, err = fermat.SequentialBatchOffsetsCtx(ctx, groups, offsets, in.options())
-	case in.Workers > 1:
-		batch, err = fermat.CostBoundBatchParallelCtx(ctx, groups, offsets, in.options(), in.Workers)
-	default:
-		batch, err = fermat.CostBoundBatchOffsetsCtx(ctx, groups, offsets, in.options())
-	}
+	res.Stats.Groups = len(combos)
+	batch, err := in.optimize(ctx, combos)
 	if err != nil {
 		return res, err
 	}

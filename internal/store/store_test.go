@@ -234,14 +234,14 @@ func TestSolveFromFileMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	// In-memory optimizer.
-	combos := mem.Groups()
-	groups := make([]fermat.Group, len(combos))
-	for i, c := range combos {
-		g, _ := Problem(c, nil)
-		groups[i] = g
-	}
 	opt := fermat.Options{Epsilon: 1e-6}
-	want, err := fermat.CostBoundBatch(groups, opt)
+	s := fermat.NewStreamer(opt, true)
+	for _, c := range mem.Groups() {
+		if err := s.Offer(Problem(c, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := s.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
