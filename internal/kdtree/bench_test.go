@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"molq/internal/geom"
-	"molq/internal/grid"
 )
 
 func benchPoints(n int) []geom.Point {
@@ -27,26 +26,18 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkNearestVsGrid(b *testing.B) {
+func BenchmarkNearest(b *testing.B) {
 	pts := benchPoints(100000)
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000))
 	kd := Build(pts)
-	gr := grid.New(pts, bounds)
 	r := rand.New(rand.NewSource(22))
 	queries := make([]geom.Point, 1024)
 	for i := range queries {
 		queries[i] = geom.Pt(r.Float64()*10000, r.Float64()*10000)
 	}
-	b.Run("kdtree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kd.Nearest(queries[i%len(queries)])
-		}
-	})
-	b.Run("grid", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gr.Nearest(queries[i%len(queries)])
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kd.Nearest(queries[i%len(queries)])
+	}
 }
 
 func BenchmarkKNearest(b *testing.B) {

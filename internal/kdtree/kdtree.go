@@ -1,8 +1,7 @@
 // Package kdtree implements a static 2-d tree over points with nearest,
-// k-nearest and rectangle queries. It complements internal/grid (uniform
-// buckets, great for uniform data) with an index that stays logarithmic on
-// the heavily skewed clustered workloads the experiments generate; the
-// validation helpers and the HTTP scoring path use whichever fits.
+// k-nearest and rectangle queries. It stays logarithmic on the heavily
+// skewed clustered workloads the experiments generate; the approximate MWVD
+// refinement (internal/mwvd) uses its flat form for nearest-site lookups.
 package kdtree
 
 import (

@@ -51,12 +51,6 @@ func (in *Input) finishSpilled(
 	// Streaming optimizer (Alg 5 over the spill file).
 	optSpan := root.Child("optimize")
 	optStart := time.Now()
-	additive := map[int]bool{}
-	for ti := range in.Sets {
-		if in.kind(ti) == AdditiveObjWeights {
-			additive[ti] = true
-		}
-	}
 	streamer := fermat.NewStreamer(in.options(), !in.DisableCostBound)
 	seen := make(map[string]struct{})
 	done := ctx.Done()
@@ -75,8 +69,7 @@ func (in *Input) finishSpilled(
 			return nil
 		}
 		seen[k] = struct{}{}
-		g, off := store.Problem(o.POIs, additive)
-		return streamer.Offer(g, off)
+		return streamer.Offer(in.toProblem(o.POIs))
 	})
 	if err != nil {
 		return res, err
