@@ -45,6 +45,8 @@ func TestPruneOverlapActuallyPrunes(t *testing.T) {
 	// Larger sets make far-apart combinations abundant.
 	in := randomInput(r, []int{30, 30, 30}, false)
 	in.PruneOverlap = true
+	// A cached pruned overlap would skip the sweep and report no pruning.
+	in.DisableDiagramCache = true
 	res, err := Solve(in, RRB)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +54,7 @@ func TestPruneOverlapActuallyPrunes(t *testing.T) {
 	if res.Stats.Overlap.PrunedOVRs == 0 {
 		t.Fatal("expected at least one pruned OVR on a 30x30x30 instance")
 	}
-	noPrune, err := Solve(Input{Sets: in.Sets, Bounds: in.Bounds, Epsilon: in.Epsilon}, RRB)
+	noPrune, err := Solve(Input{Sets: in.Sets, Bounds: in.Bounds, Epsilon: in.Epsilon, DisableDiagramCache: true}, RRB)
 	if err != nil {
 		t.Fatal(err)
 	}

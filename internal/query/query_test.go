@@ -291,6 +291,8 @@ func TestCostBoundReducesWork(t *testing.T) {
 func TestStatsPopulated(t *testing.T) {
 	r := rand.New(rand.NewSource(505))
 	in := randomInput(r, []int{5, 5, 5}, false)
+	// A cached overlap would skip the sweep and report no overlap stats.
+	in.DisableDiagramCache = true
 	res, err := Solve(in, RRB)
 	if err != nil {
 		t.Fatal(err)
