@@ -201,16 +201,20 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // Members exposes the membership table (molqd logs node counts from it).
 func (r *Router) Members() *Membership { return r.members }
 
-// middleware is the router's lite request stack: request ID, W3C trace
-// adoption (so client → router → replica correlates as one trace), and a
-// per-route counter. The heavy httpapi stack stays on the replicas.
+// middleware is the router's lite request stack: request ID (validated like
+// a node's, so a client cannot inject log lines through it), the node's
+// request-body cap, and W3C trace adoption (so client → router → replica
+// correlates as one trace). The heavy httpapi stack stays on the replicas.
 func (r *Router) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		reqID := req.Header.Get(httpapi.RequestIDHeader)
-		if reqID == "" || len(reqID) > 128 {
+		if !httpapi.ValidRequestID(reqID) {
 			reqID = obs.NewTraceID().String()[:16]
 		}
 		w.Header().Set(httpapi.RequestIDHeader, reqID)
+		if req.Body != nil {
+			req.Body = http.MaxBytesReader(w, req.Body, httpapi.MaxBodyBytes)
+		}
 		tc := obs.TraceContext{Sampled: true}
 		if parent, ok := obs.ParseTraceparent(req.Header.Get(obs.TraceparentHeader)); ok {
 			tc.TraceID = parent.TraceID

@@ -137,12 +137,13 @@ func newRequestID() string {
 // replaced (128 covers every sane ID scheme, UUIDs included).
 const maxRequestIDLen = 128
 
-// validRequestID reports whether an incoming X-Request-Id is safe to echo
+// ValidRequestID reports whether an incoming X-Request-Id is safe to echo
 // into response headers and slog lines: bounded length and a conservative
 // charset (alphanumerics plus ._:-). Anything else — control characters,
 // quotes, '=', newlines — is a log-injection vector when reflected
-// verbatim, so the middleware regenerates instead of honoring it.
-func validRequestID(id string) bool {
+// verbatim, so the middleware regenerates instead of honoring it. The
+// cluster router applies the same check at its ingress.
+func ValidRequestID(id string) bool {
 	if id == "" || len(id) > maxRequestIDLen {
 		return false
 	}
@@ -178,7 +179,7 @@ func statusClass(code int) string {
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get(requestIDHeader)
-		if !validRequestID(reqID) {
+		if !ValidRequestID(reqID) {
 			reqID = newRequestID()
 		}
 		w.Header().Set(requestIDHeader, reqID)
