@@ -172,7 +172,7 @@ func benchOverlapPair(b *testing.B, n int, mode core.Mode) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := core.Overlap(x, y)
+		m, _, err := core.Overlap(nil, 1, nil, x, y)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func BenchmarkOverlapParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", mode, w), func(b *testing.B) {
 				var ovrs int
 				for i := 0; i < b.N; i++ {
-					m, _, err := core.OverlapParallel(x, y, w)
+					m, _, err := core.Overlap(nil, w, nil, x, y)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -239,13 +239,9 @@ func benchChain(b *testing.B, types, n int, mode core.Mode) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		acc := basics[0]
-		var err error
-		for _, m := range basics[1:] {
-			acc, err = core.Overlap(acc, m)
-			if err != nil {
-				b.Fatal(err)
-			}
+		acc, _, err := core.Overlap(nil, 1, nil, basics...)
+		if err != nil {
+			b.Fatal(err)
 		}
 		ovrs = acc.Len()
 	}
@@ -368,32 +364,6 @@ func BenchmarkCacheRepeatedSolve(b *testing.B) {
 		st := cache.Stats()
 		hits, misses := st.Hits-before.Hits, st.Misses-before.Misses
 		b.ReportMetric(float64(hits)/float64(hits+misses), "cache-hit-rate")
-	})
-}
-
-func BenchmarkOverlapCandidateDetection(b *testing.B) {
-	x := buildBench(b, dataset.STM, 4000, 0, core.RRB)
-	y := buildBench(b, dataset.CH, 4000, 1, core.RRB)
-	b.Run("sweep", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Overlap(x, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rtree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.OverlapRTree(x, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.OverlapNaive(x, y); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }
 

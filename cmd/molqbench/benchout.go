@@ -100,7 +100,7 @@ func benchSuite(quick bool) ([]benchSpec, error) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						m, err := core.Overlap(x, y)
+						m, _, err := core.Overlap(nil, 1, nil, x, y)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -121,7 +121,7 @@ func benchSuite(quick bool) ([]benchSpec, error) {
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							m, _, err := core.OverlapParallel(x, y, workers)
+							m, _, err := core.Overlap(nil, workers, nil, x, y)
 							if err != nil {
 								b.Fatal(err)
 							}

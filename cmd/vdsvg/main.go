@@ -74,7 +74,7 @@ func run() error {
 		basics = append(basics, m)
 		allSites = append(allSites, pts)
 	}
-	movd, err := core.SequentialOverlap(bounds, mode, basics...)
+	movd, _, err := core.Overlap(nil, 1, nil, basics...)
 	if err != nil {
 		return err
 	}

@@ -106,14 +106,14 @@ func TestIdentityLaw(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	m := basicMOVD(t, makeSet(r, 0, 12), RRB)
 	id := Identity(testBounds, RRB)
-	res, err := Overlap(m, id)
+	res, _, err := Overlap(nil, 1, nil, m, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !signaturesEqual(movdSignature(m), movdSignature(res), 1e-6) {
 		t.Fatal("M ⊕ identity != M")
 	}
-	res2, err := Overlap(id, m)
+	res2, _, err := Overlap(nil, 1, nil, id, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestIdentityLaw(t *testing.T) {
 func TestIdempotentLaw(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	m := basicMOVD(t, makeSet(r, 0, 15), RRB)
-	res, err := Overlap(m, m)
+	res, _, err := Overlap(nil, 1, nil, m, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestCommutativeLaw(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	a := basicMOVD(t, makeSet(r, 0, 10), RRB)
 	b := basicMOVD(t, makeSet(r, 1, 13), RRB)
-	ab, err := Overlap(a, b)
+	ab, _, err := Overlap(nil, 1, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, err := Overlap(b, a)
+	ba, _, err := Overlap(nil, 1, nil, b, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,19 +156,19 @@ func TestAssociativeLaw(t *testing.T) {
 	a := basicMOVD(t, makeSet(r, 0, 7), RRB)
 	b := basicMOVD(t, makeSet(r, 1, 8), RRB)
 	c := basicMOVD(t, makeSet(r, 2, 9), RRB)
-	ab, err := Overlap(a, b)
+	ab, _, err := Overlap(nil, 1, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	abc1, err := Overlap(ab, c)
+	abc1, _, err := Overlap(nil, 1, nil, ab, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := Overlap(b, c)
+	bc, _, err := Overlap(nil, 1, nil, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	abc2, err := Overlap(a, bc)
+	abc2, _, err := Overlap(nil, 1, nil, a, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +181,12 @@ func TestAbsorptionLaw(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	a := basicMOVD(t, makeSet(r, 0, 9), RRB)
 	b := basicMOVD(t, makeSet(r, 1, 11), RRB)
-	ab, err := Overlap(a, b)
+	ab, _, err := Overlap(nil, 1, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Property 14: MOVD(E_i) ⊕ MOVD(E_j) = MOVD(E_i) when E_i ⊃ E_j.
-	res, err := Overlap(ab, b)
+	res, _, err := Overlap(nil, 1, nil, ab, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestCardinalityProperties(t *testing.T) {
 	sizeA, sizeB := 10, 14
 	a := basicMOVD(t, makeSet(r, 0, sizeA), RRB)
 	b := basicMOVD(t, makeSet(r, 1, sizeB), RRB)
-	ab, err := Overlap(a, b)
+	ab, _, err := Overlap(nil, 1, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCoverageProperty(t *testing.T) {
 	a := basicMOVD(t, makeSet(r, 0, 12), RRB)
 	b := basicMOVD(t, makeSet(r, 1, 9), RRB)
 	c := basicMOVD(t, makeSet(r, 2, 7), RRB)
-	m, err := SequentialOverlap(testBounds, RRB, a, b, c)
+	m, _, err := Overlap(nil, 1, nil, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestNearestCombinationProperty(t *testing.T) {
 	for _, s := range sets {
 		basics = append(basics, basicMOVD(t, s, RRB))
 	}
-	m, err := SequentialOverlap(testBounds, RRB, basics...)
+	m, _, err := Overlap(nil, 1, nil, basics...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +280,11 @@ func TestNearestCombinationProperty(t *testing.T) {
 func TestMBRBIsSupersetOfRRB(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	setA, setB := makeSet(r, 0, 14), makeSet(r, 1, 11)
-	rrb, err := Overlap(basicMOVD(t, setA, RRB), basicMOVD(t, setB, RRB))
+	rrb, _, err := Overlap(nil, 1, nil, basicMOVD(t, setA, RRB), basicMOVD(t, setB, RRB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mbrb, err := Overlap(basicMOVD(t, setA, MBRB), basicMOVD(t, setB, MBRB))
+	mbrb, _, err := Overlap(nil, 1, nil, basicMOVD(t, setA, MBRB), basicMOVD(t, setB, MBRB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestOverlapModeMismatch(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	a := basicMOVD(t, makeSet(r, 0, 5), RRB)
 	b := basicMOVD(t, makeSet(r, 1, 5), MBRB)
-	if _, err := Overlap(a, b); err != ErrModeMismatch {
+	if _, _, err := Overlap(nil, 1, nil, a, b); err != ErrModeMismatch {
 		t.Fatalf("want ErrModeMismatch, got %v", err)
 	}
 }
@@ -358,25 +358,25 @@ func TestQuickAlgebraLaws(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := basicMOVD(t, makeSet(r, 0, int(na%12)+2), RRB)
 		b := basicMOVD(t, makeSet(r, 1, int(nb%12)+2), RRB)
-		ab, err := Overlap(a, b)
+		ab, _, err := Overlap(nil, 1, nil, a, b)
 		if err != nil {
 			return false
 		}
-		ba, err := Overlap(b, a)
+		ba, _, err := Overlap(nil, 1, nil, b, a)
 		if err != nil {
 			return false
 		}
 		if !signaturesEqual(movdSignature(ab), movdSignature(ba), 1e-6) {
 			return false // commutativity
 		}
-		aa, err := Overlap(a, a)
+		aa, _, err := Overlap(nil, 1, nil, a, a)
 		if err != nil {
 			return false
 		}
 		if !signaturesEqual(movdSignature(a), movdSignature(aa), 1e-6) {
 			return false // idempotence
 		}
-		abb, err := Overlap(ab, b)
+		abb, _, err := Overlap(nil, 1, nil, ab, b)
 		if err != nil {
 			return false
 		}

@@ -182,7 +182,7 @@ func TestSpliceOverlapEquivalence(t *testing.T) {
 			for i, s := range sets {
 				basics[i] = s.basic(t, mode)
 			}
-			full, err := SequentialOverlap(testBounds, mode, basics...)
+			full, _, err := Overlap(nil, 1, nil, basics...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestSpliceOverlapEquivalence(t *testing.T) {
 					t.Fatalf("op %d: spliced diagram invalid: %v", op, err)
 				}
 				basics[ti] = s.basic(t, mode)
-				fresh, err := SequentialOverlap(testBounds, mode, basics...)
+				fresh, _, err := Overlap(nil, 1, nil, basics...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -220,7 +220,7 @@ func TestSpliceOverlapOperandChecks(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	a := basicMOVD(t, makeSet(r, 0, 6), RRB)
 	b := basicMOVD(t, makeSet(r, 1, 6), RRB)
-	full, err := SequentialOverlap(testBounds, RRB, a, b)
+	full, _, err := Overlap(nil, 1, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
 	"molq/internal/geom"
+	"molq/internal/obs"
 	"molq/internal/polyclip"
 )
 
@@ -17,7 +19,7 @@ type OverlapStats struct {
 	RegionTests    int // exact region intersections computed (RRB only)
 	OutputOVRs     int // OVRs appended to the result
 	OutputPoints   int // boundary points emitted (PointsManaged of the result)
-	PrunedOVRs     int // OVRs discarded by a PruneFunc (OverlapPruned only)
+	PrunedOVRs     int // OVRs discarded by a PruneFunc (prune non-nil only)
 }
 
 // Add accumulates o into s. Every counter of OverlapStats must be summed
@@ -43,13 +45,48 @@ func (s *OverlapStats) Add(o OverlapStats) {
 // later overlaps, cutting both the sweep fan-out and the Fermat-Weber load.
 type PruneFunc func(mbr geom.Rect, pois []Object) bool
 
-// Overlap evaluates MOVD(E_i) ⊕ MOVD(E_j) = MOVD(E_i ∪ E_j) (Eq 22) with the
-// plane-sweep procedure of Algorithm 2. The boundary handler is chosen by the
-// operands' mode: RRB intersects real convex regions (Algorithm 3), MBRB
-// intersects bounding rectangles only (Algorithm 4).
-func Overlap(a, b *MOVD) (*MOVD, error) {
-	res, _, err := OverlapWithStats(a, b)
-	return res, err
+// Overlap evaluates the ⊕ chain movds[0] ⊕ movds[1] ⊕ … (Eq 22, folded over
+// the diagrams by Eq 27) with the plane-sweep procedure of Algorithm 2 and
+// returns the materialised result with the sweep statistics accumulated over
+// the chain. The boundary handler is chosen by the operands' mode: RRB
+// intersects real convex regions (Algorithm 3), MBRB intersects bounding
+// rectangles only (Algorithm 4). prune, when non-nil, is applied to every OVR
+// before it joins an intermediate or the final result.
+//
+// At workers ≤ 1 the chain is the sequential left fold, and a non-nil span
+// gets one child "⊕ i" per step. At workers > 1 it is the parallel engine of
+// overlap_parallel.go — a balanced reduction over sharded sweeps — and prune
+// must be safe for concurrent use. The sharded sweep orders its output by
+// strip, so the OVR order and the Events statistic depend on the worker
+// count, while the result is deterministic for a given one. At least one
+// operand is required; a single operand is returned as is, so callers must
+// not mutate the result.
+func Overlap(prune PruneFunc, workers int, span *obs.Span, movds ...*MOVD) (*MOVD, OverlapStats, error) {
+	var stats OverlapStats
+	if len(movds) == 0 {
+		return nil, stats, errors.New("core: Overlap needs at least one operand")
+	}
+	if workers > 1 {
+		return reduceChain(prune, workers, span, movds)
+	}
+	acc := movds[0]
+	for i, m := range movds[1:] {
+		var sp *obs.Span
+		if span != nil {
+			sp = span.Child(fmt.Sprintf("⊕ %d", i+1))
+		}
+		next, st, err := overlapPair(acc, m, prune, 1, nil)
+		if err != nil {
+			return nil, stats, err
+		}
+		stats.Add(st)
+		sp.SetAttr("events", st.Events)
+		sp.SetAttr("pairs", st.CandidatePairs)
+		sp.SetAttr("ovrs", st.OutputOVRs)
+		sp.End()
+		acc = next
+	}
+	return acc, stats, nil
 }
 
 // event is a start or end of an OVR's y-projection (Sec 5.2).
@@ -58,30 +95,6 @@ type event struct {
 	kind uint8 // 0 = start (max y), 1 = end (min y)
 	side uint8 // 0 = first operand, 1 = second operand
 	idx  int32 // OVR index within its operand
-}
-
-// OverlapWithStats is Overlap returning sweep statistics.
-func OverlapWithStats(a, b *MOVD) (*MOVD, OverlapStats, error) {
-	return OverlapPruned(a, b, nil)
-}
-
-// OverlapPruned is Overlap with an optional PruneFunc applied to every OVR
-// before it is appended to the result (nil disables pruning).
-func OverlapPruned(a, b *MOVD, prune PruneFunc) (*MOVD, OverlapStats, error) {
-	result := &MOVD{
-		Types:  typesUnion(a.Types, b.Types),
-		Bounds: a.Bounds,
-		Mode:   a.Mode,
-	}
-	var arena ovrArena
-	stats, err := OverlapStream(a, b, prune, func(o *OVR) error {
-		result.OVRs = append(result.OVRs, arena.clone(o))
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	return result, stats, nil
 }
 
 // OverlapStream runs the ⊕ plane sweep emitting each surviving OVR through
@@ -303,18 +316,13 @@ func sweep(a, b *MOVD, fa, fb *flatMBRs, subA, subB []int32, own func(topY float
 	return emitErr
 }
 
-// mergePOIs unions two POI lists, deduplicating objects that appear in both
-// (which happens when the operands' generator sets are not disjoint, e.g.
-// under the idempotent law of Property 9). Both inputs are ordered by
-// (Type, ID) — basic diagrams carry a single POI and every merged list is
-// produced here — so a single linear merge suffices on the hot ⊕ path; the
-// output keeps the same canonical order.
-func mergePOIs(a, b []Object) []Object {
-	return mergePOIsInto(make([]Object, 0, len(a)+len(b)), a, b)
-}
-
-// mergePOIsInto is mergePOIs appending into dst (typically recycled sweep
-// scratch) instead of allocating; dst must not alias a or b.
+// mergePOIsInto appends to dst the union of two POI lists, deduplicating
+// objects that appear in both (which happens when the operands' generator
+// sets are not disjoint, e.g. under the idempotent law of Property 9). Both
+// inputs are ordered by (Type, ID) — basic diagrams carry a single POI and
+// every merged list is produced here — so a single linear merge suffices on
+// the hot ⊕ path; the output keeps the same canonical order. dst (typically
+// recycled sweep scratch) must not alias a or b.
 func mergePOIsInto(dst, a, b []Object) []Object {
 	if len(a) == 1 && len(b) == 1 {
 		// Basic ⊕ basic, the bulk of every chain's first level: one POI per
@@ -349,18 +357,4 @@ func mergePOIsInto(dst, a, b []Object) []Object {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// SequentialOverlap folds ⊕ across the operands left to right (Eq 27). With
-// no operands it returns the identity MOVD(∅) for the given bounds and mode.
-func SequentialOverlap(bounds geom.Rect, mode Mode, movds ...*MOVD) (*MOVD, error) {
-	acc := Identity(bounds, mode)
-	for _, m := range movds {
-		next, err := Overlap(acc, m)
-		if err != nil {
-			return nil, err
-		}
-		acc = next
-	}
-	return acc, nil
 }

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"molq/internal/geom"
 	"molq/internal/obs"
 )
 
-// This file is the parallel ⊕ engine. It parallelises the MOVD Overlapper —
-// the one Fig-3 module that previously ran single-threaded while the VD
-// Generator and the Optimizer already scaled with workers — along two
-// independent axes:
+// This file is the parallel ⊕ engine behind Overlap at workers > 1. It
+// parallelises the MOVD Overlapper along two independent axes:
 //
 //   - within one overlap, a sharded plane sweep: the search space is cut
 //     into k horizontal strips, each OVR joins every strip its MBR's y-range
@@ -28,14 +27,15 @@ import (
 //     (Properties 10–11) — so independent pairwise overlaps proceed
 //     concurrently.
 //
-// Both paths emit the same OVR multiset as their sequential counterparts
-// (bitwise for a single ⊕ and for chains whose reduction shape matches the
-// left fold, i.e. up to three operands; longer chains produce the same
-// combinations with region vertices equal up to floating-point association).
-// Statistics are shard-independent except Events, which counts per-strip
-// work and therefore grows with the strip count; chain statistics of four or
-// more operands additionally depend on the reduction shape, mirroring the
-// scheduling-dependent statistics documented for the parallel optimizer.
+// Both emit the same OVR multiset as the sequential fold (bitwise for a
+// single ⊕ and for chains whose reduction shape matches the left fold, i.e.
+// up to three operands; longer chains produce the same combinations with
+// region vertices equal up to floating-point association), in strip order
+// rather than the fold's order. Statistics are shard-independent except
+// Events, which counts per-strip work and therefore grows with the strip
+// count; chain statistics of four or more operands additionally depend on
+// the reduction shape. The strip count is the worker count capped at
+// GOMAXPROCS, and with it fixed the output and statistics are deterministic.
 
 // stripper partitions the bounds' y-extent into k equal horizontal strips.
 type stripper struct {
@@ -77,84 +77,43 @@ func (s stripper) assignFlat(minY, maxY []float64) [][]int32 {
 	return out
 }
 
-// OverlapStreamParallel is OverlapStream evaluated by the sharded plane
-// sweep on up to `workers` goroutines (≤0 means GOMAXPROCS; 1 falls back to
-// the sequential sweep). The emitted OVR multiset is identical to the
-// sequential sweep's; emission order depends on scheduling. emit is invoked
-// through a merge-emitter that serialises calls under a mutex, so a
-// non-reentrant emit (the spill writer, a slice append) needs no locking of
-// its own; the emitted pointer and its Region/POIs slices are only valid
-// during the call (they alias the emitting strip's pooled sweep scratch —
-// deep-copy with OVR.Clone to keep them). prune, by
-// contrast, is called concurrently from all strip workers and must be safe
-// for concurrent use — the query layer's bound check reads a fixed upper
-// bound and qualifies.
-func OverlapStreamParallel(a, b *MOVD, prune PruneFunc, workers int, emit func(*OVR) error) (OverlapStats, error) {
-	return OverlapStreamParallelSpan(a, b, prune, workers, nil, emit)
-}
-
-// OverlapStreamParallelSpan is OverlapStreamParallel with optional
-// tracing: when span is non-nil, every strip sweep records a child span
-// carrying its events/pairs/OVRs counters, so a -trace flame summary
-// shows the shard balance of one ⊕. A nil span costs one pointer check
-// per strip.
-func OverlapStreamParallelSpan(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span, emit func(*OVR) error) (OverlapStats, error) {
-	var (
-		mu      sync.Mutex // guards emit (the merge-emitter) and emitErr
-		emitErr error
-	)
-	sharedEmit := func(o *OVR) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if emitErr != nil {
-			// Another strip already failed; aborting with its error stops
-			// this strip's sweep too.
-			return emitErr
-		}
-		if err := emit(o); err != nil {
-			emitErr = err
-			return err
-		}
-		return nil
-	}
-	return stripSweeps(a, b, prune, workers, span, func(int, int) func(*OVR) error {
-		return sharedEmit
-	})
-}
-
-// stripSweeps is the sharded-sweep core shared by the streaming and the
-// materialising entry points. It normalises workers, falls back to one
-// sequential sweep when sharding cannot help, and otherwise loads both
-// operands' MBRs into a flat SoA layout ONCE, shares the arrays read-only
-// across all strips, and runs one sweep goroutine per non-empty strip.
-//
-// emitFor(si, hint) is called serially (from this goroutine) once per active
-// strip — strip 0 for the sequential fallback — and returns the emit
-// callback that strip's sweep uses; the callback itself runs on the strip's
-// goroutine, so a caller wanting lock-free emission hands out a private
-// per-strip buffer and a caller wanting streaming hands out one
-// mutex-serialised closure. hint is the strip's input OVR count, a cheap
-// pre-sizing estimate for output buffers.
-func stripSweeps(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span, emitFor func(si, hint int) func(*OVR) error) (OverlapStats, error) {
+// overlapPair materialises a ⊕ b. At workers ≤ 1, or when sharding cannot
+// help, it runs one sequential sweep. Otherwise it runs the sharded sweep:
+// both operands' MBRs are loaded into a flat SoA layout once and shared
+// read-only across the strips, one sweep goroutine runs per non-empty strip
+// and clones its surviving OVRs into a private buffer with its own arena, so
+// the clone — the bulk of each emission — runs fully parallel, and the
+// buffers are concatenated in strip order. A non-nil span gets one child per
+// sweep carrying its counters, so a -trace flame summary shows the shard
+// balance of one ⊕. prune must be safe for concurrent use when workers > 1.
+func overlapPair(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span) (*MOVD, OverlapStats, error) {
 	var total OverlapStats
 	if err := checkOperands(a, b); err != nil {
-		return total, err
+		return nil, total, err
 	}
-	if p := runtime.GOMAXPROCS(0); workers <= 0 || workers > p {
-		// More strips than cores cannot run concurrently; they only add
-		// duplicated boundary events and per-strip sort work. Clamping keeps
-		// the requested degree an upper bound, never a demand.
-		workers = p
+	result := &MOVD{
+		Types:  typesUnion(a.Types, b.Types),
+		Bounds: a.Bounds,
+		Mode:   a.Mode,
 	}
+	// More strips than cores cannot run concurrently; they only add
+	// duplicated boundary events and per-strip sort work. Clamping keeps the
+	// requested degree an upper bound, never a demand.
+	workers = min(workers, runtime.GOMAXPROCS(0))
 	if workers <= 1 || a.Bounds.Height() <= 0 || len(a.OVRs) == 0 || len(b.OVRs) == 0 {
-		err := sweep(a, b, nil, nil, nil, nil, nil, prune, &total, emitFor(0, len(a.OVRs)+len(b.OVRs)))
+		var arena ovrArena
+		// sweep fails only when emit does, and this emit cannot.
+		_ = sweep(a, b, nil, nil, nil, nil, nil, prune, &total, func(o *OVR) error {
+			result.OVRs = append(result.OVRs, arena.clone(o))
+			return nil
+		})
 		recordSweep(total)
 		if span != nil {
 			sp := span.Child("sweep")
 			setSweepAttrs(sp, total)
 			sp.End()
 		}
-		return total, err
+		return result, total, nil
 	}
 	strips := newStripper(a.Bounds, workers)
 	var fa, fb flatMBRs
@@ -163,18 +122,17 @@ func stripSweeps(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span, emitF
 	subA := strips.assignFlat(fa.minY, fa.maxY)
 	subB := strips.assignFlat(fb.minY, fb.maxY)
 
+	bufs := make([][]OVR, strips.k)
 	var (
-		mu       sync.Mutex // guards total and firstErr
-		firstErr error
-		wg       sync.WaitGroup
+		mu sync.Mutex // guards total
+		wg sync.WaitGroup
 	)
-	for si := 0; si < strips.k; si++ {
+	for si := range bufs {
 		if len(subA[si]) == 0 || len(subB[si]) == 0 {
 			continue
 		}
-		stripEmit := emitFor(si, len(subA[si])+len(subB[si]))
 		wg.Add(1)
-		go func(si int, subA, subB []int32, stripEmit func(*OVR) error) {
+		go func() {
 			defer wg.Done()
 			// A pair's owner strip is the strip holding the top edge of its
 			// y-intersection; the sweep evaluates ownership once per start
@@ -186,88 +144,28 @@ func stripSweeps(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span, emitF
 			if span != nil {
 				stripSpan = span.Child(fmt.Sprintf("strip %d", si))
 			}
+			// ⊕ output is proportional to its input (each OVR gains a bounded
+			// number of partners); seeding capacity at the input size skips
+			// the small early doublings of the append ramp.
+			buf := make([]OVR, 0, len(subA[si])+len(subB[si]))
+			var arena ovrArena
 			var local OverlapStats
-			err := sweep(a, b, &fa, &fb, subA, subB, own, prune, &local, stripEmit)
+			_ = sweep(a, b, &fa, &fb, subA[si], subB[si], own, prune, &local, func(o *OVR) error {
+				buf = append(buf, arena.clone(o))
+				return nil
+			})
+			bufs[si] = buf
 			recordSweep(local)
 			setSweepAttrs(stripSpan, local)
 			stripSpan.End()
 			mu.Lock()
 			total.Add(local)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
 			mu.Unlock()
-		}(si, subA[si], subB[si], stripEmit)
+		}()
 	}
 	wg.Wait()
-	return total, firstErr
-}
-
-// OverlapParallel is Overlap evaluated by the sharded parallel sweep; it
-// materialises the result like OverlapWithStats and produces the identical
-// OVR multiset (in scheduling-dependent order).
-func OverlapParallel(a, b *MOVD, workers int) (*MOVD, OverlapStats, error) {
-	return OverlapParallelPruned(a, b, nil, workers)
-}
-
-// OverlapParallelPruned is OverlapPruned evaluated by the sharded parallel
-// sweep. prune must be safe for concurrent use.
-func OverlapParallelPruned(a, b *MOVD, prune PruneFunc, workers int) (*MOVD, OverlapStats, error) {
-	return overlapParallelSpan(a, b, prune, workers, nil)
-}
-
-// overlapParallelSpan materialises one sharded ⊕ under an optional trace
-// span. Unlike the streaming path it never serialises emission: every strip
-// clones surviving OVRs into a private buffer on its own goroutine, and the
-// buffers are concatenated in strip order afterwards — the Clone (the bulk
-// of each emission: region vertices + merged POIs) runs fully parallel
-// instead of inside a shared mutex.
-func overlapParallelSpan(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span) (*MOVD, OverlapStats, error) {
-	result := &MOVD{
-		Types:  typesUnion(a.Types, b.Types),
-		Bounds: a.Bounds,
-		Mode:   a.Mode,
-	}
-	k := workers
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	if k < 1 {
-		k = 1
-	}
-	bufs := make([][]OVR, k)
-	arenas := make([]ovrArena, k)
-	stats, err := stripSweeps(a, b, prune, workers, span, func(si, hint int) func(*OVR) error {
-		buf, arena := &bufs[si], &arenas[si]
-		// ⊕ output is proportional to its input (each OVR gains a bounded
-		// number of partners); seeding capacity at the input size skips the
-		// small early doublings of the append ramp.
-		*buf = make([]OVR, 0, hint)
-		return func(o *OVR) error {
-			*buf = append(*buf, arena.clone(o))
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	total, nonEmpty, last := 0, 0, 0
-	for si, buf := range bufs {
-		if len(buf) > 0 {
-			total += len(buf)
-			nonEmpty++
-			last = si
-		}
-	}
-	if nonEmpty == 1 {
-		result.OVRs = bufs[last] // single emitting strip: adopt its buffer
-		return result, stats, nil
-	}
-	result.OVRs = make([]OVR, 0, total)
-	for _, buf := range bufs {
-		result.OVRs = append(result.OVRs, buf...)
-	}
-	return result, stats, nil
+	result.OVRs = slices.Concat(bufs...)
+	return result, total, nil
 }
 
 // setSweepAttrs annotates a span with one sweep's counters (nil-safe).
@@ -283,49 +181,22 @@ func setSweepAttrs(sp *obs.Span, st OverlapStats) {
 	}
 }
 
-// ParallelOverlap is SequentialOverlap evaluated as a balanced parallel
+// reduceChain evaluates the chain of Overlap at workers > 1 as a balanced
 // reduction: at every round adjacent diagrams are overlapped pairwise on
-// worker goroutines (each pairwise ⊕ itself sharded across the remaining
-// worker budget) until one diagram remains. With no operands it returns the
-// identity MOVD(∅); with one operand it returns that operand itself (the
-// identity fold is a no-op, Property 12) — callers must not mutate the
-// result in that case.
-func ParallelOverlap(bounds geom.Rect, mode Mode, workers int, movds ...*MOVD) (*MOVD, error) {
-	m, _, err := ParallelOverlapPruned(bounds, mode, workers, nil, movds...)
-	return m, err
-}
-
-// ParallelOverlapPruned is ParallelOverlap with an optional PruneFunc
-// applied inside every pairwise ⊕ (sound mid-chain for the query layer's
-// bound check, whose partial-combination lower bound is association
-// independent) and with the accumulated sweep statistics of all rounds.
-func ParallelOverlapPruned(bounds geom.Rect, mode Mode, workers int, prune PruneFunc, movds ...*MOVD) (*MOVD, OverlapStats, error) {
-	return ParallelOverlapPrunedSpan(bounds, mode, workers, prune, nil, movds...)
-}
-
-// ParallelOverlapPrunedSpan is ParallelOverlapPruned with optional
-// tracing: a non-nil span gets one child per pairwise ⊕ (named by
-// reduction round and pair), each carrying its strips' spans underneath.
-func ParallelOverlapPrunedSpan(bounds geom.Rect, mode Mode, workers int, prune PruneFunc, span *obs.Span, movds ...*MOVD) (*MOVD, OverlapStats, error) {
+// worker goroutines, each pairwise ⊕ sharded across its share of the worker
+// budget, until one diagram remains. A non-nil span gets one child per
+// pairwise ⊕, named by reduction round and pair, with its strips' spans
+// underneath.
+func reduceChain(prune PruneFunc, workers int, span *obs.Span, movds []*MOVD) (*MOVD, OverlapStats, error) {
 	var stats OverlapStats
-	if len(movds) == 0 {
-		return Identity(bounds, mode), stats, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cur := append([]*MOVD(nil), movds...)
-	round := 0
-	for len(cur) > 1 {
+	cur := movds
+	for round := 0; len(cur) > 1; round++ {
 		pairs := len(cur) / 2
 		next := make([]*MOVD, (len(cur)+1)/2)
 		if len(cur)%2 == 1 {
 			next[pairs] = cur[len(cur)-1] // odd tail carries into the next round
 		}
-		perPair := workers / pairs
-		if perPair < 1 {
-			perPair = 1
-		}
+		perPair := max(workers/pairs, 1)
 		sts := make([]OverlapStats, pairs)
 		errs := make([]error, pairs)
 		var wg sync.WaitGroup
@@ -335,12 +206,12 @@ func ParallelOverlapPrunedSpan(bounds geom.Rect, mode Mode, workers int, prune P
 				pairSpan = span.Child(fmt.Sprintf("⊕ round %d pair %d", round, pi))
 			}
 			wg.Add(1)
-			go func(pi int, pairSpan *obs.Span) {
+			go func() {
 				defer wg.Done()
-				next[pi], sts[pi], errs[pi] = overlapParallelSpan(cur[2*pi], cur[2*pi+1], prune, perPair, pairSpan)
+				next[pi], sts[pi], errs[pi] = overlapPair(cur[2*pi], cur[2*pi+1], prune, perPair, pairSpan)
 				setSweepAttrs(pairSpan, sts[pi])
 				pairSpan.End()
-			}(pi, pairSpan)
+			}()
 		}
 		wg.Wait()
 		for pi := range sts {
@@ -350,7 +221,6 @@ func ParallelOverlapPrunedSpan(bounds geom.Rect, mode Mode, workers int, prune P
 			stats.Add(sts[pi])
 		}
 		cur = next
-		round++
 	}
 	return cur[0], stats, nil
 }

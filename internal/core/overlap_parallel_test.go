@@ -51,13 +51,13 @@ func TestOverlapParallelMatchesSequential(t *testing.T) {
 		for _, n := range []int{8, 40, 120} {
 			a := basicMOVD(t, makeSet(r, 0, n), mode)
 			b := basicMOVD(t, makeSet(r, 1, n+5), mode)
-			seq, seqStats, err := OverlapWithStats(a, b)
+			seq, seqStats, err := Overlap(nil, 1, nil, a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{2, 3, 8, 33} {
 				label := fmt.Sprintf("%v/n=%d/workers=%d", mode, n, w)
-				par, parStats, err := OverlapParallel(a, b, w)
+				par, parStats, err := Overlap(nil, w, nil, a, b)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -90,7 +90,7 @@ func TestOverlapParallelPrunedMatchesSequential(t *testing.T) {
 	for _, mode := range []Mode{RRB, MBRB} {
 		a := basicMOVD(t, makeSet(r, 0, 60), mode)
 		b := basicMOVD(t, makeSet(r, 1, 70), mode)
-		seq, seqStats, err := OverlapPruned(a, b, prune)
+		seq, seqStats, err := Overlap(prune, 1, nil, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestOverlapParallelPrunedMatchesSequential(t *testing.T) {
 			t.Fatalf("%v: prune never fired; test is vacuous", mode)
 		}
 		for _, w := range []int{2, 4, 7} {
-			par, parStats, err := OverlapParallelPruned(a, b, prune, w)
+			par, parStats, err := Overlap(prune, w, nil, a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestParallelOverlapChain(t *testing.T) {
 			}
 			seq := basics[0]
 			for _, m := range basics[1:] {
-				next, err := Overlap(seq, m)
+				next, _, err := Overlap(nil, 1, nil, seq, m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,7 +133,7 @@ func TestParallelOverlapChain(t *testing.T) {
 			}
 			for _, w := range []int{1, 2, 8} {
 				label := fmt.Sprintf("%v/types=%d/workers=%d", mode, types, w)
-				par, _, err := ParallelOverlapPruned(testBounds, mode, w, nil, basics...)
+				par, _, err := Overlap(nil, w, nil, basics...)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -155,20 +155,18 @@ func TestParallelOverlapChain(t *testing.T) {
 	}
 }
 
-// TestParallelOverlapDegenerate covers the identity/edge paths.
+// TestParallelOverlapDegenerate covers the edge paths of the chain.
 func TestParallelOverlapDegenerate(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	m := basicMOVD(t, makeSet(r, 0, 9), RRB)
-	// Zero operands → identity.
-	id, err := ParallelOverlap(testBounds, RRB, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id.Len() != 1 || len(id.OVRs[0].POIs) != 0 {
-		t.Fatalf("empty fold should be the identity, got %d OVRs", id.Len())
+	// Zero operands is an error at any worker count.
+	for _, w := range []int{1, 4} {
+		if _, _, err := Overlap(nil, w, nil); err == nil {
+			t.Fatalf("workers=%d: empty chain accepted", w)
+		}
 	}
 	// One operand returns it unchanged.
-	one, err := ParallelOverlap(testBounds, RRB, 4, m)
+	one, _, err := Overlap(nil, 4, nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +175,16 @@ func TestParallelOverlapDegenerate(t *testing.T) {
 	}
 	// Mode mismatch surfaces the sequential error.
 	other := basicMOVD(t, makeSet(r, 1, 9), MBRB)
-	if _, _, err := OverlapParallel(m, other, 4); !errors.Is(err, ErrModeMismatch) {
+	if _, _, err := Overlap(nil, 4, nil, m, other); !errors.Is(err, ErrModeMismatch) {
 		t.Fatalf("mode mismatch: %v", err)
 	}
-	// workers ≤ 0 defaults to GOMAXPROCS and still works.
+	// workers ≤ 0 runs the sequential fold.
 	n := basicMOVD(t, makeSet(t_rand(54), 1, 11), RRB)
-	seq, err := Overlap(m, n)
+	seq, _, err := Overlap(nil, 1, nil, m, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := OverlapParallel(m, n, -1)
+	par, _, err := Overlap(nil, -1, nil, m, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,15 +193,15 @@ func TestParallelOverlapDegenerate(t *testing.T) {
 
 func t_rand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// TestOverlapStreamParallelEmitError checks a failing emit aborts the whole
-// sharded sweep and propagates the first error.
-func TestOverlapStreamParallelEmitError(t *testing.T) {
+// TestOverlapStreamEmitError checks a failing emit aborts the sweep and
+// propagates its error.
+func TestOverlapStreamEmitError(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	a := basicMOVD(t, makeSet(r, 0, 30), RRB)
 	b := basicMOVD(t, makeSet(r, 1, 30), RRB)
 	boom := errors.New("boom")
 	count := 0
-	_, err := OverlapStreamParallel(a, b, nil, 4, func(o *OVR) error {
+	_, err := OverlapStream(a, b, nil, func(o *OVR) error {
 		count++
 		if count >= 3 {
 			return boom
@@ -212,6 +210,9 @@ func TestOverlapStreamParallelEmitError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
+	}
+	if count != 3 {
+		t.Fatalf("emit called %d times after failing on call 3", count)
 	}
 }
 
@@ -274,17 +275,17 @@ func TestMergePOIsLinearMerge(t *testing.T) {
 	o := func(ty, id int) Object { return Object{Type: ty, ID: id, TypeWeight: 1, ObjWeight: 1} }
 	a := []Object{o(0, 1), o(0, 4), o(1, 2), o(2, 0)}
 	b := []Object{o(0, 4), o(1, 0), o(1, 2), o(3, 9)}
-	got := mergePOIs(a, b)
+	got := mergePOIsInto(nil, a, b)
 	want := []Object{o(0, 1), o(0, 4), o(1, 0), o(1, 2), o(2, 0), o(3, 9)}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mergePOIs = %+v, want %+v", got, want)
+		t.Fatalf("mergePOIsInto = %+v, want %+v", got, want)
 	}
 	// Commuted operands produce the same canonical order.
-	if swapped := mergePOIs(b, a); !reflect.DeepEqual(swapped, want) {
-		t.Fatalf("mergePOIs(b, a) = %+v, want %+v", swapped, want)
+	if swapped := mergePOIsInto(nil, b, a); !reflect.DeepEqual(swapped, want) {
+		t.Fatalf("mergePOIsInto(nil, b, a) = %+v, want %+v", swapped, want)
 	}
 	// Empty operands.
-	if !reflect.DeepEqual(mergePOIs(nil, b), b) || !reflect.DeepEqual(mergePOIs(a, nil), a) {
+	if !reflect.DeepEqual(mergePOIsInto(nil, nil, b), b) || !reflect.DeepEqual(mergePOIsInto(nil, a, nil), a) {
 		t.Fatal("merge with empty operand should return the other")
 	}
 }
@@ -299,7 +300,7 @@ func TestOverlapPOIsOrdered(t *testing.T) {
 		for ti := range basics {
 			basics[ti] = basicMOVD(t, makeSet(r, ti, 12), mode)
 		}
-		m, err := SequentialOverlap(testBounds, mode, basics...)
+		m, _, err := Overlap(nil, 1, nil, basics...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,11 +20,11 @@ func TestOverlapEmitRetention(t *testing.T) {
 		b := basicMOVD(t, makeSet(r, 1, 55), mode)
 
 		// Materialise and retain: one sequential result, one parallel.
-		seq, _, err := OverlapWithStats(a, b)
+		seq, _, err := Overlap(nil, 1, nil, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, _, err := OverlapParallel(a, b, 4)
+		par, _, err := Overlap(nil, 4, nil, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,11 +45,11 @@ func TestOverlapEmitRetention(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for k := 0; k < 3; k++ {
-					if _, err := Overlap(a, b); err != nil {
+					if _, _, err := Overlap(nil, 1, nil, a, b); err != nil {
 						t.Error(err)
 						return
 					}
-					if _, _, err := OverlapParallel(a, b, 4); err != nil {
+					if _, _, err := Overlap(nil, 4, nil, a, b); err != nil {
 						t.Error(err)
 						return
 					}
@@ -95,7 +95,7 @@ func TestOverlapStreamEmitClone(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := OverlapWithStats(a, b)
+	want, _, err := Overlap(nil, 1, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

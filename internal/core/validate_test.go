@@ -16,7 +16,7 @@ func TestValidatePipelineOutputs(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Fatalf("basic %v: %v", mode, err)
 		}
-		ab, err := Overlap(a, b)
+		ab, _, err := Overlap(nil, 1, nil, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	fresh := func() *MOVD {
 		a := basicMOVD(t, makeSet(r, 0, 6), RRB)
 		b := basicMOVD(t, makeSet(r, 1, 6), RRB)
-		m, err := Overlap(a, b)
+		m, _, err := Overlap(nil, 1, nil, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		}
 	}
 	// MBRB mode rejects regions.
-	mb, err := Overlap(basicMOVD(t, makeSet(r, 0, 4), MBRB), basicMOVD(t, makeSet(r, 1, 4), MBRB))
+	mb, _, err := Overlap(nil, 1, nil, basicMOVD(t, makeSet(r, 0, 4), MBRB), basicMOVD(t, makeSet(r, 1, 4), MBRB))
 	if err != nil {
 		t.Fatal(err)
 	}

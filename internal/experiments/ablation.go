@@ -136,9 +136,9 @@ func RunExt3(o Options) ([]*stats.Table, error) {
 			run  func() (*core.MOVD, core.OverlapStats, error)
 		}
 		variants := []variant{
-			{"sweep", func() (*core.MOVD, core.OverlapStats, error) { return core.OverlapWithStats(a, b) }},
-			{"naive", func() (*core.MOVD, core.OverlapStats, error) { return core.OverlapNaive(a, b) }},
-			{"rtree", func() (*core.MOVD, core.OverlapStats, error) { return core.OverlapRTree(a, b) }},
+			{"sweep", func() (*core.MOVD, core.OverlapStats, error) { return core.Overlap(nil, 1, nil, a, b) }},
+			{"naive", func() (*core.MOVD, core.OverlapStats, error) { return OverlapNaive(a, b) }},
+			{"rtree", func() (*core.MOVD, core.OverlapStats, error) { return OverlapRTree(a, b) }},
 		}
 		// The naive variant is quadratic; skip it at the largest full-scale
 		// size to keep the run bounded, reporting "-".
@@ -268,7 +268,7 @@ func RunExt6(o Options) ([]*stats.Table, error) {
 				return nil, err
 			}
 			startSeq := time.Now()
-			seq, _, err := core.OverlapWithStats(a, b)
+			seq, _, err := core.Overlap(nil, 1, nil, a, b)
 			if err != nil {
 				return nil, err
 			}
@@ -278,7 +278,7 @@ func RunExt6(o Options) ([]*stats.Table, error) {
 			times := make([]time.Duration, len(workerCounts))
 			for wi, w := range workerCounts {
 				start := time.Now()
-				par, _, err := core.OverlapParallel(a, b, w)
+				par, _, err := core.Overlap(nil, w, nil, a, b)
 				if err != nil {
 					return nil, err
 				}

@@ -44,7 +44,7 @@ func runPairOverlaps(sizes []int, o Options) ([]pairOverlapResult, error) {
 			var m *core.MOVD
 			var st core.OverlapStats
 			heap := stats.HeapDelta(func() {
-				m, st, err = core.OverlapWithStats(a, b)
+				m, st, err = core.Overlap(nil, 1, nil, a, b)
 			})
 			if err != nil {
 				return nil, err
@@ -52,7 +52,7 @@ func runPairOverlaps(sizes []int, o Options) ([]pairOverlapResult, error) {
 			start := time.Now()
 			// Re-run for a clean timing unpolluted by the GC cycles of the
 			// heap measurement.
-			m2, _, err := core.OverlapWithStats(a, b)
+			m2, _, err := core.Overlap(nil, 1, nil, a, b)
 			if err != nil {
 				return nil, err
 			}

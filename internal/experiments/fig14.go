@@ -151,7 +151,7 @@ func overlapChainCapped(types, n int, mode core.Mode, o Options, maxPoints int) 
 	acc := basics[0]
 	var err error
 	for _, m := range basics[1:] {
-		acc, err = core.Overlap(acc, m)
+		acc, _, err = core.Overlap(nil, 1, nil, acc, m)
 		if err != nil {
 			return nil, err
 		}

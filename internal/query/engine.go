@@ -307,7 +307,7 @@ func NewEngine(in Input, method Method) (*Engine, error) {
 		return nil, err
 	}
 	var stats core.OverlapStats
-	acc, err := in.cachedOverlapChain(e.mode, nil, basics, fps, &stats, &cacheStats, nil)
+	acc, err := in.cachedOverlapChain(nil, basics, fps, &stats, &cacheStats, nil)
 	if err != nil {
 		return nil, err
 	}

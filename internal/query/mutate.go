@@ -532,7 +532,7 @@ func (e *Engine) rebuildLocked(ti int, newSets [][]core.Object, us *UpdateStats,
 	ovStart := time.Now()
 	ovSpan := root.Child("rebuild/overlap")
 	var cs CacheStats
-	acc, err := in2.cachedOverlapChain(e.mode, nil, basics, fps, &us.Overlap, &cs, ovSpan)
+	acc, err := in2.cachedOverlapChain(nil, basics, fps, &us.Overlap, &cs, ovSpan)
 	us.SpliceTime = time.Since(ovStart)
 	ovSpan.EndWith(us.SpliceTime)
 	if err != nil {

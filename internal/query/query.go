@@ -122,10 +122,12 @@ type Input struct {
 	// Workers > 1 parallelises all three Fig-3 modules: the VD Generator
 	// (one goroutine per type), the MOVD Overlapper (sharded plane sweep
 	// plus a balanced parallel reduction of the ⊕ chain), and the
-	// cost-bound Optimizer (shared atomic bound). 0 or 1 runs sequentially;
-	// sequential evaluation is fully deterministic, parallel evaluation
-	// returns the same optimum (ties go to the lowest-index combination)
-	// with nondeterministic work statistics.
+	// cost-bound Optimizer (shared atomic bound). 0 or 1 runs sequentially.
+	// Ties go to the lowest-index combination, but the sharded ⊕ orders
+	// OVRs by strip, so an exact tie between multi-type combinations may
+	// resolve to a different optimum at Workers > 1 than at 1 (the spilled
+	// final ⊕ always streams sequentially). The answer is deterministic for
+	// a given worker count; work statistics depend on scheduling.
 	Workers int
 	// PruneOverlap enables the Sec-8 future-work optimisation: combinations
 	// whose best possible cost (a box lower bound) exceeds a sampled upper
@@ -496,7 +498,10 @@ func (in *Input) buildBasics(method Method, mode core.Mode, span *obs.Span) ([]*
 	return basics, fps, finish(), nil
 }
 
-// cachedOverlapChain wraps overlapChain with the level-two cache: the final
+// cachedOverlapChain runs Module 2 of Fig 3 over the given diagrams with
+// core.Overlap at in.Workers — the sequential left fold of Eq 27 at
+// Workers ≤ 1, the parallel overlap engine above — accumulating its sweep
+// statistics into stats, behind the level-two cache: the final
 // overlapped diagram is memoized under the ordered basic fingerprints, so a
 // repeat solve (or engine preparation) over unchanged data skips Module 2
 // entirely. Single-set inputs are not cached at this level — the "chain" is
@@ -504,15 +509,18 @@ func (in *Input) buildBasics(method Method, mode core.Mode, span *obs.Span) ([]*
 // one overlap fingerprint coalesce onto a single ⊕ chain the same way basic
 // builds do. The lookup is counted into cs alongside the basic-diagram hits
 // and misses.
-func (in *Input) cachedOverlapChain(mode core.Mode, prune core.PruneFunc, movds []*core.MOVD, fps []fingerprint, stats *core.OverlapStats, cs *CacheStats, span *obs.Span) (*core.MOVD, error) {
+func (in *Input) cachedOverlapChain(prune core.PruneFunc, movds []*core.MOVD, fps []fingerprint, stats *core.OverlapStats, cs *CacheStats, span *obs.Span) (*core.MOVD, error) {
+	build := func() (*core.MOVD, error) {
+		acc, st, err := core.Overlap(prune, in.Workers, span, movds...)
+		stats.Add(st)
+		return acc, err
+	}
 	cache := in.diagramCache()
 	if cache == nil || fps == nil || len(movds) < 2 || len(movds) != len(in.Sets) {
-		return in.overlapChain(mode, prune, movds, stats, span)
+		return build()
 	}
 	key := fingerprintOverlap(fps, prune != nil)
-	m, outcome, err := cache.getOrBuild(key, func() (*core.MOVD, error) {
-		return in.overlapChain(mode, prune, movds, stats, span)
-	})
+	m, outcome, err := cache.getOrBuild(key, build)
 	if err != nil {
 		return nil, err
 	}
@@ -530,40 +538,6 @@ func (in *Input) cachedOverlapChain(mode core.Mode, prune core.PruneFunc, movds 
 	snap := cache.Stats()
 	cs.Entries, cs.Bytes, cs.Capacity = snap.Entries, snap.Bytes, snap.Capacity
 	return m, nil
-}
-
-// overlapChain runs Module 2 of Fig 3 over the given diagrams: the
-// sequential left fold of Eq 27, or the parallel overlap engine (sharded
-// sweeps within each ⊕, balanced reduction across the chain) when
-// Workers > 1. Both produce the same final diagram; the parallel path's
-// statistics depend on sharding and reduction shape.
-func (in *Input) overlapChain(mode core.Mode, prune core.PruneFunc, movds []*core.MOVD, stats *core.OverlapStats, span *obs.Span) (*core.MOVD, error) {
-	if in.Workers > 1 {
-		acc, st, err := core.ParallelOverlapPrunedSpan(in.Bounds, mode, in.Workers, prune, span, movds...)
-		if err != nil {
-			return nil, err
-		}
-		stats.Add(st)
-		return acc, nil
-	}
-	acc := movds[0]
-	for i, m := range movds[1:] {
-		var sp *obs.Span
-		if span != nil {
-			sp = span.Child(fmt.Sprintf("⊕ %d", i+1))
-		}
-		next, st, err := core.OverlapPruned(acc, m, prune)
-		if err != nil {
-			return nil, err
-		}
-		stats.Add(st)
-		sp.SetAttr("events", st.Events)
-		sp.SetAttr("pairs", st.CandidatePairs)
-		sp.SetAttr("ovrs", st.OutputOVRs)
-		sp.End()
-		acc = next
-	}
-	return acc, nil
 }
 
 // solveMOVD runs the three-module pipeline of Fig 3.
@@ -621,7 +595,7 @@ func solveMOVD(ctx context.Context, in Input, method Method) (Result, error) {
 		// partial chain and falls through).
 		inMemory = basics[:len(basics)-1]
 	}
-	acc, err := in.cachedOverlapChain(mode, prune, inMemory, fps, &res.Stats.Overlap, &res.Stats.Cache, ovSpan)
+	acc, err := in.cachedOverlapChain(prune, inMemory, fps, &res.Stats.Overlap, &res.Stats.Cache, ovSpan)
 	if err != nil {
 		return res, err
 	}

@@ -14,9 +14,9 @@ import (
 // finishSpilled completes a solve whose final overlap goes through disk
 // (Input.SpillDir): the last ⊕ streams its OVRs to a temporary snapshot and
 // the optimizer streams them back, deduplicating combinations on the fly.
-// With Workers > 1 the spilling sweep itself runs sharded; the writer stays
-// safe because the parallel engine serialises emissions. The temporary file
-// is removed before returning.
+// The spilled ⊕ is core.OverlapStream's sequential sweep at any Workers, so
+// the file's OVR order, and with it the optimizer's tie rule, does not
+// depend on scheduling. The temporary file is removed before returning.
 func (in *Input) finishSpilled(
 	ctx context.Context,
 	res Result,
@@ -34,7 +34,7 @@ func (in *Input) finishSpilled(
 	defer os.Remove(path)
 
 	spillSpan := ovSpan.Child("⊕ spill")
-	st, err := store.OverlapToFileWorkers(acc, last, prune, path, in.Workers)
+	st, err := store.OverlapToFile(acc, last, prune, path)
 	if err != nil {
 		return res, err
 	}

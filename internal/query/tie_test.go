@@ -99,3 +99,27 @@ func TestQueryBatchMatchesQueryBitForBit(t *testing.T) {
 		}
 	}
 }
+
+// TestSpilledSolveWorkerInvariant checks a spilled solve answers the exact
+// tie of tiedAdditiveInput bit for bit alike at one and two workers: the
+// spilled final ⊕ streams sequentially at any worker count, so the spill
+// file, and with it the optimizer's tie rule, sees one OVR order.
+func TestSpilledSolveWorkerInvariant(t *testing.T) {
+	in := tiedAdditiveInput()
+	in.SpillDir = t.TempDir()
+	in.Workers = 1
+	want, err := Solve(in, RRB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Workers = 2
+	for run := 0; run < 50; run++ {
+		got, err := Solve(in, RRB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Loc != want.Loc || got.Cost != want.Cost {
+			t.Fatalf("run %d: Workers=2 answer (%v, %v), Workers=1 (%v, %v)", run, got.Loc, got.Cost, want.Loc, want.Cost)
+		}
+	}
+}

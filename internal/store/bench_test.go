@@ -11,7 +11,7 @@ func benchSnapshot(b *testing.B) (*core.MOVD, []byte) {
 	b.Helper()
 	a := buildMOVD(b, 1, 2000, 0, core.RRB)
 	c := buildMOVD(b, 2, 2000, 1, core.RRB)
-	m, _, err := core.OverlapWithStats(a, c)
+	m, _, err := core.Overlap(nil, 1, nil, a, c)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,17 +15,9 @@ import (
 // path, so only the operands — never the (potentially far larger) result —
 // are resident. The file is a standard snapshot with an unknown (-1) count
 // and can be read back with LoadMOVD or scanned with IterateOVRs. prune is
-// optional (see core.OverlapPruned).
+// optional (see core.PruneFunc). The sweep is core.OverlapStream's
+// sequential one, so the stored OVR order is deterministic.
 func OverlapToFile(a, b *core.MOVD, prune core.PruneFunc, path string) (core.OverlapStats, error) {
-	return OverlapToFileWorkers(a, b, prune, path, 1)
-}
-
-// OverlapToFileWorkers is OverlapToFile with the sweep sharded across
-// workers goroutines (≤1 sequential). The parallel engine's merge-emitter
-// serialises emissions, so the buffered writer needs no locking; the stored
-// OVR multiset is identical to the sequential spill's, in
-// scheduling-dependent order.
-func OverlapToFileWorkers(a, b *core.MOVD, prune core.PruneFunc, path string, workers int) (core.OverlapStats, error) {
 	var stats core.OverlapStats
 	f, err := os.Create(path)
 	if err != nil {
@@ -39,16 +31,11 @@ func OverlapToFileWorkers(a, b *core.MOVD, prune core.PruneFunc, path string, wo
 	}
 	w.crc = crc32.NewIEEE()
 	var emitted int64
-	emit := func(o *core.OVR) error {
+	stats, err = core.OverlapStream(a, b, prune, func(o *core.OVR) error {
 		w.ovr(o)
 		emitted++
 		return w.err
-	}
-	if workers > 1 {
-		stats, err = core.OverlapStreamParallel(a, b, prune, workers, emit)
-	} else {
-		stats, err = core.OverlapStream(a, b, prune, emit)
-	}
+	})
 	if err != nil {
 		f.Close()
 		return stats, err

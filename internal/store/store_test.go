@@ -181,7 +181,7 @@ func TestIterateOVRsChecksum(t *testing.T) {
 func TestOverlapToFileMatchesInMemory(t *testing.T) {
 	a := buildMOVD(t, 5, 30, 0, core.RRB)
 	b := buildMOVD(t, 6, 25, 1, core.RRB)
-	mem, memStats, err := core.OverlapWithStats(a, b)
+	mem, memStats, err := core.Overlap(nil, 1, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestIterateOVRs(t *testing.T) {
 func TestSolveFromFileMatchesInMemory(t *testing.T) {
 	a := buildMOVD(t, 9, 12, 0, core.RRB)
 	b := buildMOVD(t, 10, 14, 1, core.RRB)
-	mem, _, err := core.OverlapWithStats(a, b)
+	mem, _, err := core.Overlap(nil, 1, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

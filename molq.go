@@ -102,8 +102,11 @@ type Options struct {
 	// Workers evaluates all three pipeline modules — Voronoi generation, the
 	// MOVD overlap (sharded plane sweep plus a balanced reduction of the
 	// diagram chain) and the optimizer — with n goroutines. 0 or 1 runs
-	// sequentially and fully deterministically; the optimum is unchanged
-	// either way, only statistics become scheduling-dependent.
+	// sequentially. The returned optimum can differ from the sequential one
+	// only when several combinations of two or more types tie exactly for
+	// it: the sharded overlap orders candidate regions differently, so the
+	// tie may resolve to another of them at n > 1. Results are deterministic
+	// for a given worker count; statistics depend on scheduling.
 	Workers int
 	// DisableCostBound switches the optimizer to the unpruned sequential
 	// batch (the paper's "Original" baseline). Mostly useful for
