@@ -158,41 +158,30 @@ func (sh *installedShard) ApplyDelta(d Delta) (DeltaResponse, error) {
 }
 
 // Replica serves the /cluster/v1 shard surface of one molqd node. Mount it
-// beside the v1 API (see NewReplicaMux) and run an Agent to announce it.
+// on the node's v1 API with NewReplicaMux and run an Agent to announce it.
 type Replica struct {
 	store *ShardStore
-	h     http.Handler
 }
 
-// NewReplica returns the shard surface handler over store.
-func NewReplica(ss *ShardStore) *Replica {
-	r := &Replica{store: ss}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /cluster/v1/shards", r.handleInstall)
-	mux.HandleFunc("GET /cluster/v1/shards", r.handleList)
-	mux.HandleFunc("POST /cluster/v1/shards/{engine}/{shard}/query", r.handleQuery)
-	mux.HandleFunc("POST /cluster/v1/shards/{engine}/{shard}/delta", r.handleDelta)
-	mux.HandleFunc("DELETE /cluster/v1/shards/{engine}", r.handleDrop)
-	r.h = httpapi.JSONFallback(mux)
-	return r
-}
-
-// ServeHTTP implements http.Handler.
-func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	r.h.ServeHTTP(w, req)
-}
+// NewReplica returns the shard surface over store.
+func NewReplica(ss *ShardStore) *Replica { return &Replica{store: ss} }
 
 // Store returns the replica's shard store (the Agent reads it for
 // heartbeat payloads).
 func (r *Replica) Store() *ShardStore { return r.store }
 
-// NewReplicaMux mounts the v1 API and the cluster shard surface on one
-// handler: /cluster/v1/* to the replica, everything else to api.
-func NewReplicaMux(api http.Handler, rep *Replica) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/cluster/v1/", rep)
-	mux.Handle("/", api)
-	return mux
+// NewReplicaMux registers the shard routes on api's own mux, so they run
+// through the node's request stack, and returns api. Snapshot install is
+// the one route exempt from the body cap: a strip snapshot can be several
+// times the engine-create body the router accepted under that cap, and
+// store.ReadShard bounds what it decodes.
+func NewReplicaMux(api *httpapi.Server, rep *Replica) *httpapi.Server {
+	api.Handle("POST /cluster/v1/shards", httpapi.Uncapped(rep.handleInstall))
+	api.Handle("GET /cluster/v1/shards", http.HandlerFunc(rep.handleList))
+	api.Handle("POST /cluster/v1/shards/{engine}/{shard}/query", http.HandlerFunc(rep.handleQuery))
+	api.Handle("POST /cluster/v1/shards/{engine}/{shard}/delta", http.HandlerFunc(rep.handleDelta))
+	api.Handle("DELETE /cluster/v1/shards/{engine}", http.HandlerFunc(rep.handleDrop))
+	return api
 }
 
 func (r *Replica) handleInstall(w http.ResponseWriter, req *http.Request) {

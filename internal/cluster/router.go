@@ -43,7 +43,8 @@ import (
 //
 // Queries and mutations survive a replica death: transport failures demote
 // the node immediately (no waiting out the heartbeat window) and the work
-// retries on another live owner.
+// retries on another live owner. Every route runs through a node's request
+// stack (httpapi.Wrap).
 type Router struct {
 	members *Membership
 	metrics *obs.Registry
@@ -82,14 +83,13 @@ type Router struct {
 // it shared, so a query never observes an engine version whose shards are
 // still being shipped.
 type routerEngine struct {
-	mu        sync.RWMutex
-	name      string
-	in        query.Input
-	method    query.Method
-	eng       *query.Engine
-	strips    []geom.Rect
-	typeNames []string
-	info      httpapi.EngineInfo
+	mu     sync.RWMutex
+	name   string
+	in     query.Input
+	method query.Method
+	eng    *query.Engine
+	strips []geom.Rect
+	info   httpapi.EngineInfo
 }
 
 // RouterOption configures a Router.
@@ -189,7 +189,7 @@ func NewRouter(opts ...RouterOption) *Router {
 	mux.HandleFunc("DELETE /v1/engines/{name}/objects/{id}", r.handleObjectDelete)
 	mux.HandleFunc("POST /cluster/v1/heartbeat", r.handleHeartbeat)
 	mux.HandleFunc("GET /cluster/v1/nodes", r.handleNodes)
-	r.h = r.middleware(httpapi.JSONFallback(mux))
+	r.h = httpapi.Wrap(mux, r.log)
 	return r
 }
 
@@ -200,32 +200,6 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 
 // Members exposes the membership table (molqd logs node counts from it).
 func (r *Router) Members() *Membership { return r.members }
-
-// middleware is the router's lite request stack: request ID (validated like
-// a node's, so a client cannot inject log lines through it), the node's
-// request-body cap, and W3C trace adoption (so client → router → replica
-// correlates as one trace). The heavy httpapi stack stays on the replicas.
-func (r *Router) middleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		reqID := req.Header.Get(httpapi.RequestIDHeader)
-		if !httpapi.ValidRequestID(reqID) {
-			reqID = obs.NewTraceID().String()[:16]
-		}
-		w.Header().Set(httpapi.RequestIDHeader, reqID)
-		if req.Body != nil {
-			req.Body = http.MaxBytesReader(w, req.Body, httpapi.MaxBodyBytes)
-		}
-		tc := obs.TraceContext{Sampled: true}
-		if parent, ok := obs.ParseTraceparent(req.Header.Get(obs.TraceparentHeader)); ok {
-			tc.TraceID = parent.TraceID
-		} else {
-			tc.TraceID = obs.NewTraceID()
-		}
-		tc.SpanID = obs.NewSpanID()
-		w.Header().Set(obs.TraceparentHeader, tc.Traceparent())
-		next.ServeHTTP(w, req.WithContext(obs.ContextWithTrace(req.Context(), tc)))
-	})
-}
 
 // ---- membership & sync ----
 
@@ -313,7 +287,7 @@ func (r *Router) shipShard(re *routerEngine, s int, addr, nodeID string) error {
 	version := re.eng.Version()
 	sub := SplitMOVD(movd, re.strips[s:s+1])[0]
 	meta := ShardMetaFor(re.name, re.in, re.method, s, len(re.strips), re.strips[s],
-		version, re.typeNames, sets)
+		version, re.info.Types, sets)
 	var buf bytes.Buffer
 	if err := store.WriteShard(&buf, meta, sub); err != nil {
 		return err
@@ -404,55 +378,23 @@ func (r *Router) handleEngineCreate(w http.ResponseWriter, req *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, "", fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	if er.Name == "" {
-		httpapi.WriteError(w, http.StatusBadRequest, "", "engine name required")
-		return
-	}
-	method, err := httpapi.ParseMethod(er.Method, false)
+	in, method, err := httpapi.EngineInput(er)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, "", err.Error())
 		return
-	}
-	in, err := httpapi.BuildInput(er.Types, er.Bounds, er.Epsilon)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, "", err.Error())
-		return
-	}
-	in.WeightedEpsilon = er.WeightedEpsilon
-	switch {
-	case er.Replicas > 0:
-		in.Replicas = er.Replicas
-	case er.Replicas == 0:
-		in.Replicas = runtime.GOMAXPROCS(0)
 	}
 	eng, err := query.NewEngine(in, method)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusUnprocessableEntity, "", err.Error())
 		return
 	}
-	names := make([]string, len(er.Types))
-	for i, tj := range er.Types {
-		names[i] = tj.Name
-	}
 	re := &routerEngine{
-		name:      er.Name,
-		in:        in,
-		method:    method,
-		eng:       eng,
-		strips:    Strips(in.Bounds, r.nshards),
-		typeNames: names,
-		info: httpapi.EngineInfo{
-			Name:         er.Name,
-			Method:       method.String(),
-			Types:        names,
-			Version:      eng.Version(),
-			Objects:      eng.ObjectCounts(),
-			OVRs:         eng.OVRs(),
-			Combinations: eng.Combinations(),
-			PrepMicros:   eng.PrepTime().Microseconds(),
-			CacheHits:    eng.CacheStats().Hits,
-			CacheMisses:  eng.CacheStats().Misses,
-		},
+		name:   er.Name,
+		in:     in,
+		method: method,
+		eng:    eng,
+		strips: Strips(in.Bounds, r.nshards),
+		info:   httpapi.NewEngineInfo(er, method, eng),
 	}
 	// Hold the writer lock across registration and the initial ship: a
 	// query that finds the engine in the map blocks on the shared lock
@@ -492,21 +434,11 @@ func (r *Router) engineOf(w http.ResponseWriter, name string) *routerEngine {
 	return re
 }
 
-// liveInfo refreshes the mutable fields from the router's full engine.
-func (re *routerEngine) liveInfo() httpapi.EngineInfo {
-	info := re.info
-	info.Version = re.eng.Version()
-	info.Objects = re.eng.ObjectCounts()
-	info.OVRs = re.eng.OVRs()
-	info.Combinations = re.eng.Combinations()
-	return info
-}
-
 func (r *Router) handleEngineList(w http.ResponseWriter, _ *http.Request) {
 	r.mu.RLock()
 	infos := make([]httpapi.EngineInfo, 0, len(r.engines))
 	for _, re := range r.engines {
-		infos = append(infos, re.liveInfo())
+		infos = append(infos, httpapi.LiveInfo(re.info, re.eng))
 	}
 	r.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
@@ -518,7 +450,7 @@ func (r *Router) handleEngineGet(w http.ResponseWriter, req *http.Request) {
 	if re == nil {
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, re.liveInfo())
+	httpapi.WriteJSON(w, http.StatusOK, httpapi.LiveInfo(re.info, re.eng))
 }
 
 func (r *Router) handleEngineDelete(w http.ResponseWriter, req *http.Request) {
@@ -987,12 +919,11 @@ func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // handleMetrics refreshes the heartbeat-age gauges from membership at
 // scrape time, then serves the registry exposition.
-func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	for node, age := range r.members.Ages() {
 		r.hbAgeMetric.With(node).Set(age.Seconds())
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = r.metrics.WriteProm(w)
+	httpapi.ServeMetrics(w, req, r.metrics, r.log)
 }
 
 func atoi(s string) (int, error) {

@@ -1,27 +1,21 @@
 package httpapi
 
 import (
+	"errors"
+	"log/slog"
 	"net/http"
+	"runtime"
+	"strings"
 
+	"molq/internal/obs"
 	"molq/internal/query"
 )
 
 // This file is the surface internal/cluster builds on: the router reuses the
-// v1 wire types, the request→Input conversion, the JSON envelope writers and
-// the 404/405 fallback so a clustered deployment answers byte-compatibly
-// with a single node.
-
-// BuildInput converts v1 wire types into a query.Input, applying the same
-// validation the solve and engine-create handlers do (weight positivity,
-// kind names, bounds defaulting to the objects' bounding box).
-func BuildInput(types []TypeJSON, bounds *[4]float64, epsilon float64) (query.Input, error) {
-	return buildInput(types, bounds, epsilon)
-}
-
-// WriteJSON writes body as a JSON response with the given status.
-func WriteJSON(w http.ResponseWriter, status int, body any) {
-	writeJSON(w, status, body)
-}
+// v1 wire types, the request stack (Wrap), engine-create validation and info,
+// the metrics exposition and the JSON envelope writers, and the replica
+// mounts its shard routes on a node's mux (Handle), so a clustered
+// deployment answers byte-compatibly with a single node.
 
 // WriteError writes the standard error envelope. An empty code is filled
 // from the status (the same mapping the v1 handlers use); a non-empty code
@@ -31,49 +25,87 @@ func WriteError(w http.ResponseWriter, status int, code, message string) {
 	if code == "" {
 		code = errCode(status)
 	}
-	writeJSON(w, status, errorResponse{Error: ErrorBody{
+	WriteJSON(w, status, errorResponse{Error: ErrorBody{
 		Code:      code,
 		Message:   message,
 		RequestID: w.Header().Get(requestIDHeader),
 	}})
 }
 
-// ErrCode maps an HTTP status to its stable envelope code ("not_found",
-// "rate_limited", …).
-func ErrCode(status int) string { return errCode(status) }
-
-// JSONFallback wraps h so plain-text 404/405 responses emitted by an
-// http.ServeMux are rewritten into the JSON error envelope. The server's own
-// mux is already wrapped; this export lets sibling routers (the cluster
-// coordinator) speak the same envelope for unmatched routes.
-func JSONFallback(h http.Handler) http.Handler { return jsonFallback(h) }
-
 // RequestIDHeader is the header carrying the per-request correlation ID.
 const RequestIDHeader = requestIDHeader
 
-// ParseMethod resolves a wire method name ("", "rrb", "mbrb", "ssc") the
-// way the v1 handlers do. allowSSC admits the sequential-scan baseline
-// (solve accepts it, engines do not).
-func ParseMethod(m string, allowSSC bool) (query.Method, error) {
-	return parseMethod(m, allowSSC)
+// ServeMetrics serves reg in whichever exposition the client negotiates:
+// OpenMetrics (which can carry per-bucket trace-ID exemplars) when the
+// Accept header asks for it, Prometheus text 0.0.4 otherwise — exemplars
+// are a syntax error in 0.0.4, so the plain format never carries them.
+func ServeMetrics(w http.ResponseWriter, r *http.Request, reg *obs.Registry, log *slog.Logger) {
+	write, ct := reg.WriteProm, "text/plain; version=0.0.4; charset=utf-8"
+	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
+		write, ct = reg.WriteOpenMetrics, "application/openmetrics-text; version=1.0.0; charset=utf-8"
+	}
+	w.Header().Set("Content-Type", ct)
+	if err := write(w); err != nil {
+		log.Error("metrics exposition failed", "err", err)
+	}
 }
 
-// ParseEngineQueryBody accepts the three body shapes of the engine query
-// endpoint — {"type_weights":[…]}, {"type_weights":[[…],…]} and a bare
-// [[…],…] — returning the weight vectors and whether the request was a
-// batch. The cluster router shares it so a clustered engine query accepts
-// exactly what a single node does.
-func ParseEngineQueryBody(body []byte) (vecs [][]float64, batch bool, err error) {
-	return parseEngineQueryBody(body)
+// EngineInput validates an engine-create request and converts it into the
+// input and method its engine is built from: a name is required, SSC is
+// refused, and an omitted Replicas means one read replica per CPU.
+func EngineInput(req EngineRequest) (query.Input, query.Method, error) {
+	if req.Name == "" {
+		return query.Input{}, 0, errors.New("engine name required")
+	}
+	m, err := ParseMethod(req.Method, false)
+	if err != nil {
+		return query.Input{}, 0, err
+	}
+	in, err := BuildInput(req.Types, req.Bounds, req.Epsilon)
+	if err != nil {
+		return query.Input{}, 0, err
+	}
+	in.WeightedEpsilon = req.WeightedEpsilon
+	switch {
+	case req.Replicas > 0:
+		in.Replicas = req.Replicas
+	case req.Replicas == 0:
+		in.Replicas = runtime.GOMAXPROCS(0)
+	}
+	return in, m, nil
 }
 
-// SolveStatus maps a solve/query error to its HTTP status the way the v1
-// handlers do: canceled request 499, deadline 504, anything else 422.
-func SolveStatus(err error) int { return solveStatus(err) }
+// NewEngineInfo describes the engine just built from req with method m.
+func NewEngineInfo(req EngineRequest, m query.Method, eng *query.Engine) EngineInfo {
+	info := EngineInfo{
+		Name:        req.Name,
+		Method:      m.String(),
+		Types:       make([]string, len(req.Types)),
+		PrepMicros:  eng.PrepTime().Microseconds(),
+		CacheHits:   eng.CacheStats().Hits,
+		CacheMisses: eng.CacheStats().Misses,
+	}
+	for i, tj := range req.Types {
+		info.Types[i] = tj.Name
+	}
+	return LiveInfo(info, eng)
+}
 
-// UpdateStatus maps an engine mutation error to its HTTP status the way the
-// v1 handlers do (400/404/409/422).
-func UpdateStatus(err error) int { return updateStatus(err) }
+// LiveInfo returns info with its mutable fields (version, object counts,
+// OVRs, combinations) read from eng now; the rest is the creation-time
+// snapshot.
+func LiveInfo(info EngineInfo, eng *query.Engine) EngineInfo {
+	info.Version = eng.Version()
+	info.Objects = eng.ObjectCounts()
+	info.OVRs = eng.OVRs()
+	info.Combinations = eng.Combinations()
+	return info
+}
+
+// Handle registers h for pattern on the server's own mux, so the route runs
+// through the same request stack as the v1 API. The cluster replica mounts
+// its shard routes with it.
+func (s *Server) Handle(pattern string, h http.Handler) { s.h.Handle(pattern, h) }
 
 // Engines returns the name → current version of every prepared engine, the
 // shape a replica heartbeat advertises.
@@ -97,25 +129,4 @@ func (s *Server) Engine(name string) *query.Engine {
 		return pe.eng
 	}
 	return nil
-}
-
-// RegisterEngine installs an already-built engine under name, replacing any
-// existing registration (unlike POST /v1/engines, which refuses
-// duplicates — a replica re-installing a shipped shard snapshot is an
-// upsert, not a conflict). The info's live fields are refreshed on read.
-func (s *Server) RegisterEngine(name string, info EngineInfo, eng *query.Engine) {
-	info.Name = name
-	s.mux.Lock()
-	s.eng[name] = &preparedEngine{info: info, eng: eng}
-	s.mux.Unlock()
-}
-
-// RemoveEngine drops the engine registered under name, reporting whether it
-// existed.
-func (s *Server) RemoveEngine(name string) bool {
-	s.mux.Lock()
-	_, ok := s.eng[name]
-	delete(s.eng, name)
-	s.mux.Unlock()
-	return ok
 }

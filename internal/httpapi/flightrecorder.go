@@ -1,6 +1,6 @@
 package httpapi
 
-// Flight-recorder and slow-query-log wiring: the middleware calls
+// Flight-recorder and slow-query-log wiring: the request stack calls
 // finishRequest after every response, which (a) offers the completed
 // request to the server's obs.Recorder — tail-sampling the slowest
 // solve-bearing requests per route+engine and pinning every
@@ -11,7 +11,7 @@ package httpapi
 //	GET /debug/traces/{id}  — one full trace: phase span tree + attributes
 //
 // Handlers that run the solve pipeline deposit their Result stats (and the
-// span tree) into a per-request traceSlot via noteSolve, so the middleware
+// span tree) into a per-request traceSlot via noteSolve, so the stack
 // has the domain context — engine, phase breakdown, cache and replica
 // outcomes — the recorder and the slow-query line both need.
 
@@ -25,8 +25,8 @@ import (
 	"molq/internal/query"
 )
 
-// traceSlot carries solve context from a handler back to the middleware.
-// A request runs on one goroutine, and the middleware reads the slot only
+// traceSlot carries solve context from a handler back to the stack.
+// A request runs on one goroutine, and the stack reads the slot only
 // after the handler returns, so no locking is needed.
 type traceSlot struct {
 	solved bool
@@ -42,7 +42,7 @@ func withTraceSlot(ctx context.Context, slot *traceSlot) context.Context {
 }
 
 // noteSolve deposits a completed solve's stats into the request's trace
-// slot. Safe to call from handlers running outside the middleware (tests
+// slot. Safe to call from handlers running outside the stack (tests
 // hitting handlers directly): it is then a no-op.
 func noteSolve(r *http.Request, engine string, batch int, stats query.Stats) {
 	if slot, ok := r.Context().Value(traceSlotKey{}).(*traceSlot); ok {
@@ -58,8 +58,8 @@ func noteSolve(r *http.Request, engine string, batch int, stats query.Stats) {
 // which requests turn out to be tail outliers is only known at completion.
 func (s *Server) tracing() bool { return s.recorder != nil }
 
-// finishRequest is the middleware epilogue: slow-query log plus recorder.
-func (s *Server) finishRequest(route, reqID string, tc obs.TraceContext, status int, panicked bool, start time.Time, elapsed time.Duration, slot *traceSlot) {
+// finishRequest is the stack's epilogue: slow-query log plus recorder.
+func (s *stack) finishRequest(route, reqID string, tc obs.TraceContext, status int, panicked bool, start time.Time, elapsed time.Duration, slot *traceSlot) {
 	outcome := "ok"
 	switch {
 	case panicked:
@@ -181,7 +181,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 		writeErr(w, http.StatusNotFound, "flight recorder disabled")
 		return
 	}
-	writeJSON(w, http.StatusOK, TracesResponse{
+	WriteJSON(w, http.StatusOK, TracesResponse{
 		Recorder: s.recorder.Stats(),
 		Slowest:  summarize(s.recorder.Slowest()),
 		Errors:   summarize(s.recorder.Errors()),
@@ -199,7 +199,7 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "trace %q not retained (evicted, expired, or never recorded)", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, t)
+	WriteJSON(w, http.StatusOK, t)
 }
 
 // Flush emits a final flight-recorder summary to the structured log — the

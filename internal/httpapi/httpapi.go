@@ -24,10 +24,11 @@
 //	                          pinned errored/shed/panicked request
 //	GET  /debug/traces/{id} — one retained trace with its full span tree
 //
-// Every request passes through the middleware stack of middleware.go:
-// request-ID assignment, panic recovery, per-route metrics and structured
-// access logs, plus a fallback that rewrites the router's own plain-text
-// 404/405 into the JSON error envelope every endpoint uses:
+// Every request passes through the request stack of middleware.go: body
+// cap, request-ID assignment, trace context, panic recovery, per-route
+// metrics and structured access logs, plus a fallback that rewrites the
+// mux's own plain-text 404/405 into the JSON error envelope every endpoint
+// uses:
 //
 //	{"error":{"code":"...","message":"...","request_id":"..."}}
 //
@@ -347,17 +348,14 @@ type preparedEngine struct {
 	eng  *query.Engine
 }
 
-// Server implements http.Handler.
+// Server implements http.Handler through its embedded request stack.
 type Server struct {
+	stack
 	mux sync.RWMutex
 	eng map[string]*preparedEngine
-	h   *http.ServeMux
 	// cache memoizes basic Voronoi diagrams across solve and engine-create
 	// requests (query.DefaultDiagramCache unless overridden for tests).
 	cache *query.DiagramCache
-	// log receives structured access and error records (discarded unless
-	// WithLogger is given — molqd passes its slog handler).
-	log *slog.Logger
 	// metrics is the registry /v1/metrics exposes (obs.Default unless
 	// overridden).
 	metrics *obs.Registry
@@ -365,12 +363,6 @@ type Server struct {
 	start time.Time
 	// gate bounds concurrent solves (nil: admission disabled).
 	gate *solveGate
-	// recorder tail-samples completed request traces for /debug/traces
-	// (nil: flight recorder disabled, handlers skip building span trees).
-	recorder *obs.Recorder
-	// slowQuery is the slow-query-log threshold (0: disabled). Solve-bearing
-	// requests at or above it emit a WARN line with the phase breakdown.
-	slowQuery time.Duration
 	// recorderSet distinguishes WithRecorder(nil) — recorder explicitly
 	// disabled — from "no option given", which gets the default recorder.
 	recorderSet bool
@@ -379,8 +371,6 @@ type Server struct {
 	// node's compute capacity when the real CPUs are shared or too fast to
 	// exercise admission.
 	serviceDelay time.Duration
-	// wrapped is the full middleware-wrapped handler ServeHTTP delegates to.
-	wrapped http.Handler
 }
 
 // Option configures a Server at construction.
@@ -452,10 +442,14 @@ func WithServiceDelay(d time.Duration) Option {
 // New returns a ready-to-serve API server.
 func New(opts ...Option) *Server {
 	s := &Server{
+		// The logger is discarded unless WithLogger is given (molqd passes
+		// its slog handler).
+		stack: stack{
+			h:   http.NewServeMux(),
+			log: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		},
 		eng:     make(map[string]*preparedEngine),
-		h:       http.NewServeMux(),
 		cache:   query.DefaultDiagramCache,
-		log:     slog.New(slog.NewTextHandler(io.Discard, nil)),
 		metrics: obs.Default,
 		start:   time.Now(),
 	}
@@ -467,7 +461,9 @@ func New(opts ...Option) *Server {
 	}
 	s.h.HandleFunc("GET /v1/healthz", s.handleHealth)
 	s.h.HandleFunc("GET /v1/stats", s.handleStats)
-	s.h.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	s.h.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+		ServeMetrics(w, r, s.metrics, s.log)
+	})
 	s.h.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.h.HandleFunc("POST /v1/engines", s.handleEngineCreate)
 	s.h.HandleFunc("GET /v1/engines", s.handleEngineList)
@@ -479,7 +475,6 @@ func New(opts ...Option) *Server {
 	s.h.HandleFunc("POST /v1/score", s.handleScore)
 	s.h.HandleFunc("GET /debug/traces", s.handleTraces)
 	s.h.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
-	s.wrapped = s.middleware(jsonFallback(s.h))
 	// Process-level gauges, sampled at scrape time. Registration is
 	// idempotent (first wins), so repeated Server constructions are safe.
 	obs.Default.GaugeFunc("molq_goroutines", "goroutines in the process",
@@ -490,36 +485,25 @@ func New(opts ...Option) *Server {
 	return s
 }
 
-// MaxBodyBytes caps request bodies (64 MiB covers hundreds of thousands of
-// POIs; anything larger should arrive via the CLI's file loaders).
-const MaxBodyBytes = 64 << 20
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	}
-	s.wrapped.ServeHTTP(w, r)
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
+// WriteJSON writes body as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: ErrorBody{
+	WriteJSON(w, status, errorResponse{Error: ErrorBody{
 		Code:    errCode(status),
 		Message: fmt.Sprintf(format, args...),
-		// Set by the middleware before any handler runs; empty only when a
+		// Set by the stack before any handler runs; empty only when a
 		// bare ResponseWriter bypasses the stack (tests).
 		RequestID: w.Header().Get(requestIDHeader),
 	}})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
@@ -531,7 +515,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mux.RLock()
 	engines := len(s.eng)
 	s.mux.RUnlock()
-	writeJSON(w, http.StatusOK, StatsResponse{
+	WriteJSON(w, http.StatusOK, StatsResponse{
 		Engines:       engines,
 		DiagramCache:  cacheJSON(s.cache.Stats()),
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -540,27 +524,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleMetrics serves the registry in whichever exposition the client
-// negotiates: OpenMetrics (which can carry per-bucket trace-ID exemplars)
-// when the Accept header asks for it, Prometheus text 0.0.4 otherwise —
-// exemplars are a syntax error in 0.0.4, so the plain format never
-// carries them.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		if err := s.metrics.WriteOpenMetrics(w); err != nil {
-			s.log.Error("metrics exposition failed", "err", err)
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.metrics.WriteProm(w); err != nil {
-		s.log.Error("metrics exposition failed", "err", err)
-	}
-}
-
-// buildInput converts request types into a query.Input.
-func buildInput(types []TypeJSON, bounds *[4]float64, epsilon float64) (query.Input, error) {
+// BuildInput converts v1 wire types into a query.Input, applying the
+// validation the solve and engine-create handlers share (weight positivity,
+// kind names, bounds defaulting to the objects' bounding box).
+func BuildInput(types []TypeJSON, bounds *[4]float64, epsilon float64) (query.Input, error) {
 	var in query.Input
 	if len(types) == 0 {
 		return in, fmt.Errorf("no object types")
@@ -626,7 +593,10 @@ func weightOf(w *float64, name string, ti, i int) (float64, error) {
 	return *w, nil
 }
 
-func parseMethod(m string, allowSSC bool) (query.Method, error) {
+// ParseMethod resolves a wire method name ("", "rrb", "mbrb", "ssc").
+// allowSSC admits the sequential-scan baseline (solve accepts it, engines
+// do not).
+func ParseMethod(m string, allowSSC bool) (query.Method, error) {
 	switch strings.ToLower(m) {
 	case "", "rrb":
 		return query.RRB, nil
@@ -651,7 +621,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-time.After(s.serviceDelay):
 		case <-r.Context().Done():
-			writeErr(w, solveStatus(r.Context().Err()), "%v", r.Context().Err())
+			writeErr(w, SolveStatus(r.Context().Err()), "%v", r.Context().Err())
 			return
 		}
 	}
@@ -660,12 +630,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	m, err := parseMethod(req.Method, true)
+	m, err := ParseMethod(req.Method, true)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	in, err := buildInput(req.Types, req.Bounds, req.Epsilon)
+	in, err := BuildInput(req.Types, req.Bounds, req.Epsilon)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -677,7 +647,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	in.Trace = s.tracing()
 	res, err := query.SolveContext(r.Context(), in, m)
 	if err != nil {
-		writeErr(w, solveStatus(err), "%v", err)
+		writeErr(w, SolveStatus(err), "%v", err)
 		return
 	}
 	noteSolve(r, "", 0, res.Stats)
@@ -706,7 +676,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleEngineCreate(w http.ResponseWriter, r *http.Request) {
@@ -719,52 +689,21 @@ func (s *Server) handleEngineCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.Name == "" {
-		writeErr(w, http.StatusBadRequest, "engine name required")
-		return
-	}
-	m, err := parseMethod(req.Method, false)
+	in, m, err := EngineInput(req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	in, err := buildInput(req.Types, req.Bounds, req.Epsilon)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	in.WeightedEpsilon = req.WeightedEpsilon
 	in.Cache = s.cache
 	// Baked into the engine: every later query on it builds a span tree iff
 	// the server has a flight recorder to retain it.
 	in.Trace = s.tracing()
-	switch {
-	case req.Replicas > 0:
-		in.Replicas = req.Replicas
-	case req.Replicas == 0:
-		in.Replicas = runtime.GOMAXPROCS(0)
-	}
 	eng, err := query.NewEngine(in, m)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	names := make([]string, len(req.Types))
-	for i, tj := range req.Types {
-		names[i] = tj.Name
-	}
-	info := EngineInfo{
-		Name:         req.Name,
-		Method:       m.String(),
-		Types:        names,
-		Version:      eng.Version(),
-		Objects:      eng.ObjectCounts(),
-		OVRs:         eng.OVRs(),
-		Combinations: eng.Combinations(),
-		PrepMicros:   eng.PrepTime().Microseconds(),
-		CacheHits:    eng.CacheStats().Hits,
-		CacheMisses:  eng.CacheStats().Misses,
-	}
+	info := NewEngineInfo(req, m, eng)
 	s.mux.Lock()
 	_, exists := s.eng[req.Name]
 	if !exists {
@@ -775,25 +714,18 @@ func (s *Server) handleEngineCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "engine %q already exists", req.Name)
 		return
 	}
-	writeJSON(w, http.StatusCreated, info)
+	WriteJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleEngineList(w http.ResponseWriter, _ *http.Request) {
 	s.mux.RLock()
 	infos := make([]EngineInfo, 0, len(s.eng))
 	for _, pe := range s.eng {
-		info := pe.info
-		// Mutable state is read live; info holds only the creation-time
-		// snapshot.
-		info.Version = pe.eng.Version()
-		info.Objects = pe.eng.ObjectCounts()
-		info.OVRs = pe.eng.OVRs()
-		info.Combinations = pe.eng.Combinations()
-		infos = append(infos, info)
+		infos = append(infos, LiveInfo(pe.info, pe.eng))
 	}
 	s.mux.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	writeJSON(w, http.StatusOK, infos)
+	WriteJSON(w, http.StatusOK, infos)
 }
 
 func (s *Server) handleEngineGet(w http.ResponseWriter, r *http.Request) {
@@ -802,18 +734,14 @@ func (s *Server) handleEngineGet(w http.ResponseWriter, r *http.Request) {
 	pe := s.eng[name]
 	var info EngineInfo
 	if pe != nil {
-		info = pe.info
-		info.Version = pe.eng.Version()
-		info.Objects = pe.eng.ObjectCounts()
-		info.OVRs = pe.eng.OVRs()
-		info.Combinations = pe.eng.Combinations()
+		info = LiveInfo(pe.info, pe.eng)
 	}
 	s.mux.RUnlock()
 	if pe == nil {
 		writeErr(w, http.StatusNotFound, "engine %q not found", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleEngineDelete(w http.ResponseWriter, r *http.Request) {
@@ -826,7 +754,7 @@ func (s *Server) handleEngineDelete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "engine %q not found", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
+	WriteJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
 func (s *Server) handleEngineQuery(w http.ResponseWriter, r *http.Request) {
@@ -843,7 +771,7 @@ func (s *Server) handleEngineQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	vecs, batch, err := parseEngineQueryBody(body)
+	vecs, batch, err := ParseEngineQueryBody(body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -855,16 +783,16 @@ func (s *Server) handleEngineQuery(w http.ResponseWriter, r *http.Request) {
 	if !batch {
 		res, err := pe.eng.QueryContext(r.Context(), vecs[0])
 		if err != nil {
-			writeErr(w, solveStatus(err), "%v", err)
+			writeErr(w, SolveStatus(err), "%v", err)
 			return
 		}
 		noteSolve(r, name, 0, res.Stats)
-		writeJSON(w, http.StatusOK, solveResponse(res))
+		WriteJSON(w, http.StatusOK, solveResponse(res))
 		return
 	}
 	out, err := pe.eng.QueryBatchContext(r.Context(), vecs)
 	if err != nil {
-		writeErr(w, solveStatus(err), "%v", err)
+		writeErr(w, SolveStatus(err), "%v", err)
 		return
 	}
 	if len(out) > 0 {
@@ -880,7 +808,7 @@ func (s *Server) handleEngineQuery(w http.ResponseWriter, r *http.Request) {
 	if len(out) > 0 {
 		resp.Micros = out[0].Stats.BatchElapsed.Microseconds()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // solveResponse converts an engine query result into the response shape.
@@ -895,11 +823,12 @@ func solveResponse(res query.Result) SolveResponse {
 	}
 }
 
-// parseEngineQueryBody accepts the three body shapes of the engine query
+// ParseEngineQueryBody accepts the three body shapes of the engine query
 // endpoint: {"type_weights":[…]} (single vector), {"type_weights":[[…],…]}
 // (batch), and a bare top-level [[…],…] (batch). Single-vector requests
-// return a one-element vecs with batch=false.
-func parseEngineQueryBody(body []byte) (vecs [][]float64, batch bool, err error) {
+// return a one-element vecs with batch=false. The cluster router shares it
+// so a clustered engine query accepts exactly what a single node does.
+func ParseEngineQueryBody(body []byte) (vecs [][]float64, batch bool, err error) {
 	first := firstByte(body)
 	if first == '[' {
 		var b [][]float64
@@ -962,10 +891,10 @@ func nestedArray(b []byte) bool {
 // request was wrong, so neither 4xx-validation nor 5xx-server codes fit.
 const statusClientClosed = 499
 
-// solveStatus maps a solve/query error: a canceled request context is the
+// SolveStatus maps a solve/query error: a canceled request context is the
 // client's doing (499), a deadline is a timeout (504), anything else is a
 // request the engine rejected (422).
-func solveStatus(err error) int {
+func SolveStatus(err error) int {
 	switch {
 	case errors.Is(err, context.Canceled):
 		return statusClientClosed
@@ -976,11 +905,11 @@ func solveStatus(err error) int {
 	}
 }
 
-// updateStatus maps a mutation error onto the API's status vocabulary:
+// UpdateStatus maps a mutation error onto the API's status vocabulary:
 // malformed input is 400, identity clashes are 409, a missing object is 404,
 // and everything the engine itself refuses (last object of a type, weighted
 // RRB) is 422.
-func updateStatus(err error) int {
+func UpdateStatus(err error) int {
 	switch {
 	case errors.Is(err, query.ErrBadType), errors.Is(err, query.ErrBadWeight):
 		return http.StatusBadRequest
@@ -1034,10 +963,10 @@ func (s *Server) handleObjectInsert(w http.ResponseWriter, r *http.Request) {
 		ObjWeight: ow,
 	})
 	if err != nil {
-		writeErr(w, updateStatus(err), "%v", err)
+		writeErr(w, UpdateStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, updateResponse(name, pe, us))
+	WriteJSON(w, http.StatusOK, updateResponse(name, pe, us))
 }
 
 func (s *Server) handleObjectDelete(w http.ResponseWriter, r *http.Request) {
@@ -1068,10 +997,10 @@ func (s *Server) handleObjectDelete(w http.ResponseWriter, r *http.Request) {
 	defer s.gate.release()
 	us, err := pe.eng.DeleteObject(ti, id)
 	if err != nil {
-		writeErr(w, updateStatus(err), "%v", err)
+		writeErr(w, UpdateStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, updateResponse(name, pe, us))
+	WriteJSON(w, http.StatusOK, updateResponse(name, pe, us))
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
@@ -1084,7 +1013,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	in, err := buildInput(req.Types, nil, 0)
+	in, err := BuildInput(req.Types, nil, 0)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1097,7 +1026,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	for i, c := range req.Candidates {
 		costs[i] = mwgdOf(&in, geom.Pt(c.X, c.Y))
 	}
-	writeJSON(w, http.StatusOK, ScoreResponse{Costs: costs})
+	WriteJSON(w, http.StatusOK, ScoreResponse{Costs: costs})
 }
 
 // mwgdOf evaluates the objective respecting per-type kinds.
