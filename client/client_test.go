@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,7 +176,10 @@ func TestAdmissionShedDecodesTyped(t *testing.T) {
 
 	// Hold the single admission slot deterministically: the solve handler
 	// admits before decoding the body, so a request whose body never
-	// arrives occupies the slot until we close the pipe.
+	// arrives occupies the slot until we close the pipe. Probing starts only
+	// once the holder is admitted; a probe that took the slot first would
+	// shed the holder instead.
+	before := solveActive(t, ts.URL)
 	pr, pw := io.Pipe()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", pr)
 	if err != nil {
@@ -190,6 +195,17 @@ func TestAdmissionShedDecodesTyped(t *testing.T) {
 		}
 	}()
 	defer func() { pw.Close(); <-done }()
+	for admitted := time.Now().Add(5 * time.Second); solveActive(t, ts.URL) <= before; {
+		select {
+		case <-done:
+			t.Fatal("the slot-holding request completed before it was admitted")
+		default:
+		}
+		if time.Now().After(admitted) {
+			t.Fatal("the slot-holding request was not admitted within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	var apiErr *client.APIError
 	shed := false
@@ -214,6 +230,31 @@ func TestAdmissionShedDecodesTyped(t *testing.T) {
 	if apiErr.RetryAfterSeconds <= 0 {
 		t.Fatalf("Retry-After missing: %+v", apiErr)
 	}
+}
+
+// solveActive reads the molq_solve_active gauge from the server's metrics.
+func solveActive(t *testing.T, url string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "molq_solve_active "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("molq_solve_active %q: %v", v, err)
+			}
+			return f
+		}
+	}
+	t.Fatal("no molq_solve_active gauge in /v1/metrics")
+	return 0
 }
 
 func TestNonEnvelopeErrorBody(t *testing.T) {
