@@ -207,23 +207,3 @@ func DelaunayEdges(sites []geom.Point) ([][2]int32, error) {
 	}
 	return out, nil
 }
-
-// CellMBRs returns the minimum bounding rectangle of every cell. Nil cells
-// yield empty rectangles.
-func (d *Diagram) CellMBRs() []geom.Rect {
-	out := make([]geom.Rect, len(d.Cells))
-	for i, c := range d.Cells {
-		out[i] = c.Bounds()
-	}
-	return out
-}
-
-// TotalVertices reports the number of polygon vertices stored across all
-// cells; this is the "points managed" memory metric used for Fig 13/14(d).
-func (d *Diagram) TotalVertices() int {
-	n := 0
-	for _, c := range d.Cells {
-		n += len(c)
-	}
-	return n
-}
