@@ -99,7 +99,7 @@ func Solve(pts []WeightedPoint, opt Options) (Result, error) {
 // Eq-10 lower bound proves the optimum cannot beat costBound (Algorithm 5's
 // in-iteration pruning). A pruned result has Pruned=true and carries the last
 // iterate. The 2-point prefilter of Alg 5 is the caller's responsibility (see
-// Streamer.Offer).
+// FlatProblem.solveGroup).
 func SolveBounded(pts []WeightedPoint, opt Options, costBound float64) (Result, error) {
 	return solveBounded(pts, opt, costBound)
 }
@@ -164,6 +164,12 @@ func collinear(pts []WeightedPoint) (line, bool) {
 		}
 	}
 	return line{origin: origin, dir: dir}, true
+}
+
+// isCollinear reports whether a group takes the exact collinear fast path.
+func isCollinear(g Group) bool {
+	_, ok := collinear(g)
+	return ok
 }
 
 // solveCollinear computes the weighted median along the carrier line, which

@@ -19,8 +19,9 @@ import (
 // offsets, written into a caller-provided slab), so the scan and the 1/2-point
 // fast paths read contiguous float64 arrays end to end. Groups that actually
 // need a solver (≥ 3 points, not prefiltered) are gathered into a per-worker
-// []WeightedPoint scratch and handed to the same solver entry points the
-// Streamer uses, so both return bitwise-identical results.
+// []WeightedPoint scratch and handed to the iterative and exact solvers. The
+// Streamer evaluates each offered group as a one-group FlatProblem through
+// the same solveGroup, so the in-order and batch optimizers cannot drift.
 
 // FlatGroups is the weight-independent geometry of a batch of Fermat-Weber
 // problems in structure-of-arrays form: point i of group g lives at
@@ -117,15 +118,18 @@ func (p *FlatProblem) gather(scratch *[]WeightedPoint, s, t int) Group {
 	return Group(g)
 }
 
-// solveGroup evaluates group gi against the problem's shared cost bound,
-// accumulating work counters into st. Empty groups are skipped, 1- and
-// 2-point groups are answered straight off the flat arrays (no gather, no
-// sqrt when PairDist is cached), and the two-point prefilter for larger
-// groups costs two flat loads and a multiply; only groups that survive it are
-// gathered into scratch for the exact solvers or Weiszfeld. ok=false means
-// the group was skipped, prefiltered or pruned (res is then meaningless). The
-// decisions and counters match Streamer.Offer's exactly.
-func (p *FlatProblem) solveGroup(gi int, opt Options, bound *atomicMin, st *BatchStats, scratch *[]WeightedPoint) (res Result, ok bool, err error) {
+// solveGroup is Algorithm 5's per-group step, the only one in the package:
+// it evaluates group gi, accumulating work counters into st. Empty groups
+// are skipped, 1- and 2-point groups are answered straight off the flat
+// arrays (no gather, no sqrt when PairDist is cached), and the two-point
+// prefilter for larger groups, which reads the bound pre, costs two flat
+// loads and a multiply; only groups that survive it are gathered into
+// scratch for the exact solvers or for Weiszfeld, which iter aborts. The
+// batch drivers pass their one shared cost bound as both; the Streamer's
+// ablation variants pass a bound that stays +Inf for a mechanism that is
+// off. ok=false means the group was skipped, prefiltered or pruned (res is
+// then meaningless).
+func (p *FlatProblem) solveGroup(gi int, opt Options, pre, iter *atomicMin, st *BatchStats, scratch *[]WeightedPoint) (res Result, ok bool, err error) {
 	f := p.Geom
 	s, t := int(f.Starts[gi]), int(f.Starts[gi+1])
 	if t == s {
@@ -152,7 +156,7 @@ func (p *FlatProblem) solveGroup(gi int, opt Options, bound *atomicMin, st *Batc
 	// handle. min(w0,w1)·d equals solve2(g[:2]).Cost exactly — same Dist,
 	// same multiply.
 	off := p.off(gi)
-	if cb := bound.load(); !math.IsInf(cb, 1) {
+	if cb := pre.load(); !math.IsInf(cb, 1) {
 		two := min(p.W[s], p.W[s+1]) * f.pair(gi, s)
 		if two+off > cb {
 			st.Prefiltered++
@@ -168,7 +172,7 @@ func (p *FlatProblem) solveGroup(gi int, opt Options, bound *atomicMin, st *Batc
 		st.ExactSolves++
 		return res, true, nil
 	}
-	res = weiszfeldDynamic(g, opt, func() float64 { return bound.load() - off })
+	res = weiszfeldDynamic(g, opt, func() float64 { return iter.load() - off })
 	st.TotalIters += res.Iters
 	if res.Pruned {
 		st.PrunedGroups++
@@ -187,7 +191,7 @@ func (p *FlatProblem) scanOrdered(ctx context.Context, opt Options, first int, s
 	bound := newAtomicMin()
 	best := BatchResult{GroupIndex: -1}
 	offerAt := func(gi int) error {
-		res, ok, err := p.solveGroup(gi, opt, bound, &best.Stats, scratch)
+		res, ok, err := p.solveGroup(gi, opt, bound, bound, &best.Stats, scratch)
 		if err != nil || !ok {
 			return err
 		}

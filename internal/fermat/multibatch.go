@@ -176,7 +176,7 @@ func multiParallel(ctx context.Context, problems []FlatProblem, starts []int, op
 				gi := task - starts[pi]
 				p := &problems[pi]
 				local := &locals[pi]
-				res, ok, err := p.solveGroup(gi, opt, bounds[pi], &local.Stats, &scratch)
+				res, ok, err := p.solveGroup(gi, opt, bounds[pi], bounds[pi], &local.Stats, &scratch)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {

@@ -10,17 +10,22 @@ type Group []WeightedPoint
 // time, in index order, and the global cost bound is maintained across
 // offers. It backs the disk-based pipeline, which streams OVR combinations
 // from a spill file without materialising them, the "Original" baseline of
-// Fig 10 (no pruning) and the mechanism ablation. Because groups arrive in
-// index order and only a strictly cheaper group replaces the incumbent, the
-// lowest-index group wins among exact-cost ties — the same rule as
-// CostBoundMultiBatchFlatCtx.
+// Fig 10 (no pruning) and the mechanism ablation. Each offer is evaluated as
+// a one-group FlatProblem through solveGroup, the batch drivers' per-group
+// step. Because groups arrive in index order and only a strictly cheaper
+// group replaces the incumbent, the lowest-index group wins among exact-cost
+// ties — the same rule as CostBoundMultiBatchFlatCtx.
 type Streamer struct {
-	opt       Options
-	prefilter bool // Alg 5 lines 9-12: two-point upper-bound skip
-	iterBound bool // Alg 5 line 16: per-iteration lower-bound abort
-	cbound    float64
-	best      BatchResult
-	count     int
+	opt Options
+	// p is the one-group problem each Offer rewrites in place.
+	p FlatProblem
+	// bound is the incumbent's total cost. pre and iter are the bounds
+	// solveGroup's prefilter and Weiszfeld abort read: bound when the
+	// mechanism is on, a bound that is never updated (+Inf) when it is off.
+	bound, pre, iter *atomicMin
+	best             BatchResult
+	count            int
+	scratch          []WeightedPoint
 }
 
 // NewStreamer returns a streaming solver. useBound selects Algorithm 5
@@ -33,13 +38,21 @@ func NewStreamer(opt Options, useBound bool) *Streamer {
 // independently — the two-point prefilter and the in-iteration lower-bound
 // abort — so the ablation experiment can attribute the speedup.
 func NewStreamerVariant(opt Options, prefilter, iterBound bool) *Streamer {
-	return &Streamer{
-		opt:       opt.norm(),
-		prefilter: prefilter,
-		iterBound: iterBound,
-		cbound:    math.Inf(1),
-		best:      BatchResult{Cost: math.Inf(1), GroupIndex: -1},
+	s := &Streamer{
+		opt:   opt.norm(),
+		p:     FlatProblem{Geom: &FlatGroups{Starts: []int32{0, 0}}, Offsets: []float64{0}},
+		bound: newAtomicMin(),
+		best:  BatchResult{Cost: math.Inf(1), GroupIndex: -1},
 	}
+	never := newAtomicMin()
+	s.pre, s.iter = never, never
+	if prefilter {
+		s.pre = s.bound
+	}
+	if iterBound {
+		s.iter = s.bound
+	}
+	return s
 }
 
 // Offer processes one Fermat-Weber problem with constant cost offset off.
@@ -47,47 +60,22 @@ func NewStreamerVariant(opt Options, prefilter, iterBound bool) *Streamer {
 func (s *Streamer) Offer(g Group, off float64) error {
 	gi := s.count
 	s.count++
-	if len(g) == 0 {
-		return nil
+	f := s.p.Geom
+	f.X, f.Y, s.p.W = f.X[:0], f.Y[:0], s.p.W[:0]
+	for _, wp := range g {
+		f.X = append(f.X, wp.P.X)
+		f.Y = append(f.Y, wp.P.Y)
+		s.p.W = append(s.p.W, wp.W)
 	}
-	s.best.Stats.Problems++
-	// Alg 5 lines 9-12 / Alg 1 lines 4-5: with positive weights the optimum
-	// of any two-point subset lower-bounds the full group's optimal cost, so
-	// the prefilter applies to every group of ≥ 3 points — including the
-	// 3-point and collinear ones the exact fast paths handle below. For
-	// n-type queries with small n this is the only pruning that ever fires.
-	if s.prefilter && len(g) >= 3 && !math.IsInf(s.cbound, 1) {
-		if solve2(g[:2]).Cost+off > s.cbound {
-			s.best.Stats.Prefiltered++
-			return nil
-		}
+	f.Starts[1] = int32(len(g))
+	s.p.Offsets[0] = off
+	res, ok, err := s.p.solveGroup(0, s.opt, s.pre, s.iter, &s.best.Stats, &s.scratch)
+	if err != nil || !ok {
+		return err
 	}
-	var res Result
-	if len(g) <= 3 || isCollinear(g) {
-		var err error
-		res, err = Solve(g, s.opt)
-		if err != nil {
-			return err
-		}
-		s.best.Stats.ExactSolves++
-	} else {
-		bound := math.Inf(1)
-		if s.iterBound {
-			bound = s.cbound - off
-		}
-		res = weiszfeld(g, s.opt, bound)
-		s.best.Stats.TotalIters += res.Iters
-		if res.Pruned {
-			s.best.Stats.PrunedGroups++
-			return nil
-		}
-	}
-	if total := res.Cost + off; total < s.cbound {
-		s.cbound = total
-		s.best.Loc = res.Loc
-		s.best.Cost = total
-		s.best.GroupIndex = gi
-	}
+	total := res.Cost + off
+	s.bound.update(total)
+	s.best.offer(total, res.Loc, gi)
 	return nil
 }
 
@@ -98,10 +86,4 @@ func (s *Streamer) Result() (BatchResult, error) {
 		return s.best, ErrNoPoints
 	}
 	return s.best, nil
-}
-
-// isCollinear reports whether a group takes the exact collinear fast path.
-func isCollinear(g Group) bool {
-	_, ok := collinear(g)
-	return ok
 }

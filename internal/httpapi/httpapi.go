@@ -1024,31 +1024,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	costs := make([]float64, len(req.Candidates))
 	for i, c := range req.Candidates {
-		costs[i] = mwgdOf(&in, geom.Pt(c.X, c.Y))
+		costs[i] = in.MWGD(geom.Pt(c.X, c.Y))
 	}
 	WriteJSON(w, http.StatusOK, ScoreResponse{Costs: costs})
-}
-
-// mwgdOf evaluates the objective respecting per-type kinds.
-func mwgdOf(in *query.Input, q geom.Point) float64 {
-	total := 0.0
-	for ti, set := range in.Sets {
-		additive := ti < len(in.ObjKinds) && in.ObjKinds[ti] == query.AdditiveObjWeights
-		best := -1.0
-		for _, o := range set {
-			var v float64
-			if additive {
-				v = o.TypeWeight * (q.Dist(o.Loc) + o.ObjWeight)
-			} else {
-				v = o.TypeWeight * o.ObjWeight * q.Dist(o.Loc)
-			}
-			if best < 0 || v < best {
-				best = v
-			}
-		}
-		if best >= 0 {
-			total += best
-		}
-	}
-	return total
 }

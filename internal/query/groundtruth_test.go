@@ -22,7 +22,7 @@ func TestOptimumMatchesRasterGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, gridCost := raster.Minimize(in.mwgdAt, in.Bounds, 48, 7)
+		_, gridCost := raster.Minimize(in.MWGD, in.Bounds, 48, 7)
 		// The grid value is an upper bound of the true optimum sampled at a
 		// cell center; the solver must be at least as good (within grid
 		// resolution) and never meaningfully worse.
@@ -45,7 +45,7 @@ func TestAdditiveOptimumMatchesRaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gridCost := raster.Minimize(in.mwgdAt, in.Bounds, 48, 7)
+	_, gridCost := raster.Minimize(in.MWGD, in.Bounds, 48, 7)
 	if res.Cost > gridCost*(1+1e-3) {
 		t.Fatalf("solver cost %v worse than grid %v", res.Cost, gridCost)
 	}

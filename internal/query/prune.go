@@ -7,12 +7,17 @@ import (
 	"molq/internal/geom"
 )
 
-// mwgdAt evaluates the query objective (Eq 3 with the configured weight
-// function families) at an arbitrary location by linear scan — used to seed
-// the overlap-pruning upper bound.
-func (in *Input) mwgdAt(q geom.Point) float64 {
+// MWGD evaluates the query objective, Eq 3 with each type's object weight
+// function family, at an arbitrary location by linear scan: per type the
+// least weighted distance, w^t·w^o·d (multiplicative) or w^t·(d + w^o)
+// (additive), summed over the types. An empty set contributes nothing. It
+// seeds the overlap-pruning upper bound and scores candidate sites.
+func (in *Input) MWGD(q geom.Point) float64 {
 	total := 0.0
 	for ti, set := range in.Sets {
+		if len(set) == 0 {
+			continue
+		}
 		additive := in.kind(ti) == AdditiveObjWeights
 		best := math.Inf(1)
 		for _, o := range set {
@@ -36,7 +41,7 @@ func (in *Input) mwgdAt(q geom.Point) float64 {
 // the smallest set (object locations are natural candidates — the optimum
 // gravitates toward them).
 func (in *Input) upperBound() float64 {
-	u := in.mwgdAt(in.Bounds.Center())
+	u := in.MWGD(in.Bounds.Center())
 	smallest := 0
 	for ti := range in.Sets {
 		if len(in.Sets[ti]) < len(in.Sets[smallest]) {
@@ -49,7 +54,7 @@ func (in *Input) upperBound() float64 {
 		step = len(set) / 16
 	}
 	for i := 0; i < len(set); i += step {
-		if v := in.mwgdAt(set[i].Loc); v < u {
+		if v := in.MWGD(set[i].Loc); v < u {
 			u = v
 		}
 	}

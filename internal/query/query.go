@@ -280,10 +280,18 @@ func (in *Input) toProblem(objs []core.Object) (fermat.Group, float64) {
 
 // optimize runs Module 3 of Fig 3 over the final diagram's combinations: the
 // Algorithm 5 batch driver over a flat problem, in parallel only when
-// Workers > 1, or the "Original" exhaustive scan with DisableCostBound.
+// Workers > 1, or with DisableCostBound the "Original" baseline of Fig 10:
+// every combination solved in order to the ε stopping rule, no pruning.
 func (in *Input) optimize(ctx context.Context, combos [][]core.Object) (fermat.BatchResult, error) {
 	if in.DisableCostBound {
-		return in.scanOriginal(ctx, combos)
+		return in.stream(ctx, false, func(offer func([]core.Object) error) error {
+			for _, c := range combos {
+				if err := offer(c); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
 	g := flatGroups(combos)
 	p := fermat.FlatProblem{Geom: &g, W: make([]float64, 0, len(g.X))}
@@ -309,22 +317,28 @@ func (in *Input) optimize(ctx context.Context, combos [][]core.Object) (fermat.B
 	return out[0], nil
 }
 
-// scanOriginal is the "Original" baseline of Fig 10: every combination is
-// solved to the ε stopping rule with no pruning, then the best is selected.
-func (in *Input) scanOriginal(ctx context.Context, combos [][]core.Object) (fermat.BatchResult, error) {
-	s := fermat.NewStreamer(in.options(), false)
+// stream is the in-order optimizer: each calls offer once per combination,
+// in order, and stream folds every one through toProblem into a single
+// Streamer, with (useBound) or without Algorithm 5 pruning, checking ctx
+// every 64 offers. It serves the DisableCostBound scan and the spilled
+// solve's pass over its file.
+func (in *Input) stream(ctx context.Context, useBound bool, each func(offer func([]core.Object) error) error) (fermat.BatchResult, error) {
+	s := fermat.NewStreamer(in.options(), useBound)
 	done := ctx.Done()
-	for ci, c := range combos {
-		if done != nil && ci%64 == 0 {
+	offered := 0
+	err := each(func(c []core.Object) error {
+		if done != nil && offered%64 == 0 {
 			select {
 			case <-done:
-				return fermat.BatchResult{}, ctx.Err()
+				return ctx.Err()
 			default:
 			}
 		}
-		if err := s.Offer(in.toProblem(c)); err != nil {
-			return fermat.BatchResult{}, err
-		}
+		offered++
+		return s.Offer(in.toProblem(c))
+	})
+	if err != nil {
+		return fermat.BatchResult{}, err
 	}
 	return s.Result()
 }

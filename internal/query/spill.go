@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"molq/internal/core"
-	"molq/internal/fermat"
 	"molq/internal/obs"
 	"molq/internal/store"
 )
@@ -51,30 +50,17 @@ func (in *Input) finishSpilled(
 	// Streaming optimizer (Alg 5 over the spill file).
 	optSpan := root.Child("optimize")
 	optStart := time.Now()
-	streamer := fermat.NewStreamer(in.options(), !in.DisableCostBound)
 	seen := make(map[string]struct{})
-	done := ctx.Done()
-	offered := 0
-	err = store.IterateOVRs(path, func(o *core.OVR) error {
-		if done != nil && offered%64 == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
+	batch, err := in.stream(ctx, !in.DisableCostBound, func(offer func([]core.Object) error) error {
+		return store.IterateOVRs(path, func(o *core.OVR) error {
+			k := o.DedupKey()
+			if _, dup := seen[k]; dup {
+				return nil
 			}
-		}
-		offered++
-		k := o.DedupKey()
-		if _, dup := seen[k]; dup {
-			return nil
-		}
-		seen[k] = struct{}{}
-		return streamer.Offer(in.toProblem(o.POIs))
+			seen[k] = struct{}{}
+			return offer(o.POIs)
+		})
 	})
-	if err != nil {
-		return res, err
-	}
-	batch, err := streamer.Result()
 	if err != nil {
 		return res, err
 	}

@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"molq/internal/core"
-	"molq/internal/fermat"
 )
 
 // OverlapToFile evaluates a ⊕ b streaming every surviving OVR straight to
@@ -105,44 +104,4 @@ func IterateOVRs(path string, fn func(*core.OVR) error) error {
 			return err
 		}
 	}
-}
-
-// Problem converts an OVR combination into a Fermat-Weber problem with the
-// multiplicative/additive folding selected per type by additiveTypes (nil
-// means all multiplicative). It mirrors the in-memory optimizer's folding.
-func Problem(pois []core.Object, additiveTypes map[int]bool) (fermat.Group, float64) {
-	g := make(fermat.Group, len(pois))
-	offset := 0.0
-	for i, o := range pois {
-		if additiveTypes[o.Type] {
-			g[i] = fermat.WeightedPoint{P: o.Loc, W: o.TypeWeight}
-			offset += o.TypeWeight * o.ObjWeight
-		} else {
-			g[i] = fermat.WeightedPoint{P: o.Loc, W: o.TypeWeight * o.ObjWeight}
-		}
-	}
-	return g, offset
-}
-
-// SolveFromFile answers the optimizer stage from a spill file: it streams
-// the OVRs, deduplicates combinations with a compact key set, and feeds each
-// fresh combination to the cost-bound Streamer (Algorithm 5). Memory usage
-// is one OVR plus the dedup keys — independent of the spill size's region
-// data.
-func SolveFromFile(path string, opt fermat.Options, additiveTypes map[int]bool) (fermat.BatchResult, error) {
-	s := fermat.NewStreamer(opt, true)
-	seen := make(map[string]struct{})
-	err := IterateOVRs(path, func(o *core.OVR) error {
-		k := o.DedupKey()
-		if _, dup := seen[k]; dup {
-			return nil
-		}
-		seen[k] = struct{}{}
-		g, off := Problem(o.POIs, additiveTypes)
-		return s.Offer(g, off)
-	})
-	if err != nil {
-		return fermat.BatchResult{}, err
-	}
-	return s.Result()
 }

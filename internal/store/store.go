@@ -1,7 +1,8 @@
 // Package store provides the disk-based processing layer sketched in the
 // paper's future work (Sec 8): binary snapshots of MOVDs, overlap with the
-// result spilled to disk instead of memory, and a streaming optimizer that
-// answers the query from a spill file. The output of an overlap can dwarf
+// result spilled to disk instead of memory, and a scan that streams a spill
+// file back one OVR at a time (query's spilled solve optimizes over it
+// without materialising the OVRs). The output of an overlap can dwarf
 // both operands (MBRB false positives compound, Fig 14), so bounding the
 // resident set by streaming the output is the difference between "fits" and
 // "OOM" at the paper's largest scales.

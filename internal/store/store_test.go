@@ -2,14 +2,12 @@ package store
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"molq/internal/core"
-	"molq/internal/fermat"
 	"molq/internal/geom"
 	"molq/internal/voronoi"
 )
@@ -223,53 +221,6 @@ func TestIterateOVRs(t *testing.T) {
 	}
 	if count != stats.OutputOVRs {
 		t.Fatalf("iterated %d of %d", count, stats.OutputOVRs)
-	}
-}
-
-func TestSolveFromFileMatchesInMemory(t *testing.T) {
-	a := buildMOVD(t, 9, 12, 0, core.RRB)
-	b := buildMOVD(t, 10, 14, 1, core.RRB)
-	mem, _, err := core.Overlap(nil, 1, nil, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In-memory optimizer.
-	opt := fermat.Options{Epsilon: 1e-6}
-	s := fermat.NewStreamer(opt, true)
-	for _, c := range mem.Groups() {
-		if err := s.Offer(Problem(c, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := s.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Disk pipeline.
-	path := filepath.Join(t.TempDir(), "solve.movd")
-	if _, err := OverlapToFile(a, b, nil, path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := SolveFromFile(path, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(got.Cost-want.Cost) / want.Cost; rel > 1e-9 {
-		t.Fatalf("disk pipeline cost %v vs in-memory %v", got.Cost, want.Cost)
-	}
-}
-
-func TestProblemAdditiveFolding(t *testing.T) {
-	pois := []core.Object{
-		{ID: 0, Type: 0, Loc: geom.Pt(1, 1), TypeWeight: 2, ObjWeight: 3},
-		{ID: 0, Type: 1, Loc: geom.Pt(5, 5), TypeWeight: 4, ObjWeight: 7},
-	}
-	g, off := Problem(pois, map[int]bool{1: true})
-	if g[0].W != 6 { // multiplicative: 2*3
-		t.Fatalf("mult weight %v", g[0].W)
-	}
-	if g[1].W != 4 || off != 28 { // additive: weight w^t, offset w^t*w^o
-		t.Fatalf("additive weight %v offset %v", g[1].W, off)
 	}
 }
 

@@ -452,29 +452,13 @@ func (q *Query) TopK(m Method, k int) ([]Alternative, error) {
 }
 
 // MWGD evaluates the minimum weighted group distance (Eq 3) of the query's
-// object sets at an arbitrary location, using the multiplicative weight
-// functions. Useful for verifying results or scoring candidate sites.
+// object sets at an arbitrary location, using each type's object weight
+// function: multiplicative by default, additive after SetAdditiveWeights.
+// A type with no objects contributes nothing. Useful for verifying results
+// or scoring candidate sites.
 func (q *Query) MWGD(at Point) float64 {
-	total := 0.0
-	for ti, set := range q.sets {
-		additive := q.kinds[ti] == query.AdditiveObjWeights
-		best := -1.0
-		for _, o := range set {
-			var v float64
-			if additive {
-				v = o.TypeWeight * (at.Dist(o.Loc) + o.ObjWeight)
-			} else {
-				v = o.TypeWeight * o.ObjWeight * at.Dist(o.Loc)
-			}
-			if best < 0 || v < best {
-				best = v
-			}
-		}
-		if best >= 0 {
-			total += best
-		}
-	}
-	return total
+	in := query.Input{Sets: q.sets, ObjKinds: q.kinds}
+	return in.MWGD(at)
 }
 
 // VoronoiCells computes the ordinary Voronoi diagram of sites clipped to

@@ -138,3 +138,28 @@ func TestEngineFacade(t *testing.T) {
 		t.Fatal("wrong weight count should fail")
 	}
 }
+
+// TestMWGDSkipsEmptyType: a type registered with no objects contributes
+// nothing to the objective, so MWGD stays finite and equals the MWGD of the
+// query without that type.
+func TestMWGDSkipsEmptyType(t *testing.T) {
+	bounds := molq.NewRect(molq.Pt(0, 0), molq.Pt(100, 100))
+	full := molq.NewQuery(bounds)
+	full.AddType("cafe", molq.POI(molq.Pt(10, 10), 2, 1), molq.POI(molq.Pt(90, 20), 1, 3))
+	full.AddType("empty")
+	penalty := full.AddType("bank", molq.POI(molq.Pt(50, 80), 1, 4))
+	full.SetAdditiveWeights(penalty)
+
+	ref := molq.NewQuery(bounds)
+	ref.AddType("cafe", molq.POI(molq.Pt(10, 10), 2, 1), molq.POI(molq.Pt(90, 20), 1, 3))
+	ref.SetAdditiveWeights(ref.AddType("bank", molq.POI(molq.Pt(50, 80), 1, 4)))
+
+	at := molq.Pt(40, 30)
+	got := full.MWGD(at)
+	if math.IsInf(got, 0) || math.IsNaN(got) {
+		t.Fatalf("MWGD with an empty type = %v, want finite", got)
+	}
+	if want := ref.MWGD(at); got != want {
+		t.Fatalf("MWGD with an empty type = %v, want %v (the empty type skipped)", got, want)
+	}
+}
