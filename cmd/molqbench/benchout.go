@@ -234,6 +234,32 @@ func benchSuite(quick bool) ([]benchSpec, error) {
 			},
 		},
 	)
+	// Single-vector query on the serving benchmark's engine shape: three
+	// clustered paper types of 1,000 objects (~10.5k combinations), one read
+	// replica per core. optimize-ns/op isolates the Algorithm-5 scan.
+	paperEng, err := paperEngine(1000)
+	if err != nil {
+		return nil, err
+	}
+	paperVecs := make([][]float64, 256)
+	for i := range paperVecs {
+		paperVecs[i] = []float64{0.5 + 9.5*r.Float64(), 0.5 + 9.5*r.Float64(), 0.5 + 9.5*r.Float64()}
+	}
+	specs = append(specs, benchSpec{
+		name: "BenchmarkEngineQuery/paper3x1000",
+		fn: func(b *testing.B) {
+			var optimize time.Duration
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := paperEng.Query(paperVecs[i%len(paperVecs)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				optimize += res.Stats.OptimizeTime
+			}
+			b.ReportMetric(float64(optimize.Nanoseconds())/float64(b.N), "optimize-ns/op")
+		},
+	})
 	// Update-vs-rebuild pair at maintenance scale: one insert+delete
 	// round-trip on a prepared engine (incremental MOVD repair) against a
 	// full Prepare of the same instance. The committed baseline gates the
@@ -408,6 +434,25 @@ func benchSuite(quick bool) ([]benchSpec, error) {
 		})
 	}
 	return specs, nil
+}
+
+// paperEngine prepares the serving benchmark's engine shape: the STM, CH
+// and SCH paper types with n clustered objects each, unit weights, and one
+// read replica per core as the HTTP engine create configures.
+func paperEngine(n int) (*query.Engine, error) {
+	names := []string{dataset.STM, dataset.CH, dataset.SCH}
+	in := query.Input{
+		Sets:                make([][]core.Object, len(names)),
+		Bounds:              dataset.DefaultBounds,
+		DisableDiagramCache: true,
+		Replicas:            runtime.GOMAXPROCS(0),
+	}
+	for ti, name := range names {
+		for i, p := range dataset.Generate(dataset.Config{Seed: 1}, name, n) {
+			in.Sets[ti] = append(in.Sets[ti], core.Object{ID: i, Type: ti, Loc: p, TypeWeight: 1, ObjWeight: 1})
+		}
+	}
+	return query.NewEngine(in, query.RRB)
 }
 
 // weightedBenchSites draws one non-uniformly weighted site set for the

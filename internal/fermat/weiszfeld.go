@@ -12,13 +12,14 @@ import (
 // when the relative deviation (cost − lb)/lb drops below ε, when the bound
 // proves the group cannot beat costBound (Alg 5 pruning), or at MaxIter.
 func weiszfeld(pts []WeightedPoint, opt Options, costBound float64) Result {
-	return weiszfeldDynamic(pts, opt, func() float64 { return costBound })
+	return weiszfeldDynamic(pts, opt, func(lb float64) bool { return lb >= costBound })
 }
 
-// weiszfeldDynamic is weiszfeld with a bound re-read every iteration — the
-// parallel batch solver feeds it the shared atomic bound so one worker's
-// discovery immediately tightens every other worker's pruning.
-func weiszfeldDynamic(pts []WeightedPoint, opt Options, costBound func() float64) Result {
+// weiszfeldDynamic is weiszfeld with the pruning test asked of every
+// iterate's lower bound — the batch drivers test it against the shared
+// atomic bound, so one worker's discovery immediately tightens every other
+// worker's pruning.
+func weiszfeldDynamic(pts []WeightedPoint, opt Options, prune func(lb float64) bool) Result {
 	q := centroid(pts)
 	scale := spread(pts)
 	lambda := opt.Acceleration
@@ -33,7 +34,7 @@ func weiszfeldDynamic(pts []WeightedPoint, opt Options, costBound func() float64
 		}
 		q = next
 		lb = LowerBound(q, pts)
-		if lb >= costBound() {
+		if prune(lb) {
 			return Result{Loc: q, Cost: Cost(q, pts), LowerBound: lb, Iters: iters + 1, Pruned: true}
 		}
 		if lb > 0 {

@@ -7,6 +7,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
+
+	"molq/internal/core"
+	"molq/internal/dataset"
 )
 
 // batchVecs returns n deterministic positive weight vectors for an engine
@@ -204,5 +208,39 @@ func BenchmarkEngineQueryBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+// BenchmarkEngineQuery times one single-vector Query on the serving
+// benchmark's engine shape: three clustered paper types (STM, CH, SCH) of
+// 1,000 objects each, about 10.5k three-point combinations, with one read
+// replica per core as the HTTP engine create configures. optimize-ns/op is
+// the optimizer's share as the query reports it.
+func BenchmarkEngineQuery(b *testing.B) {
+	b.Run("paper3x1000", func(b *testing.B) {
+		names := []string{dataset.STM, dataset.CH, dataset.SCH}
+		in := Input{Sets: make([][]core.Object, len(names)), Bounds: dataset.DefaultBounds, DisableDiagramCache: true}
+		for ti, name := range names {
+			for i, p := range dataset.Generate(dataset.Config{Seed: 1}, name, 1000) {
+				in.Sets[ti] = append(in.Sets[ti], core.Object{ID: i, Type: ti, Loc: p, TypeWeight: 1, ObjWeight: 1})
+			}
+		}
+		in.Replicas = runtime.GOMAXPROCS(0)
+		eng, err := NewEngine(in, RRB)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vecs := batchVecs(rand.New(rand.NewSource(71)), 256, len(names))
+		var optimize time.Duration
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Query(vecs[i%len(vecs)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			optimize += res.Stats.OptimizeTime
+		}
+		b.ReportMetric(float64(optimize.Nanoseconds())/float64(b.N), "optimize-ns/op")
 	})
 }
