@@ -98,8 +98,8 @@ func Solve(pts []WeightedPoint, opt Options) (Result, error) {
 // SolveBounded behaves like Solve but abandons the iteration as soon as the
 // Eq-10 lower bound proves the optimum cannot beat costBound (Algorithm 5's
 // in-iteration pruning). A pruned result has Pruned=true and carries the last
-// iterate. The 2-point prefilter of Alg 5 is the caller's responsibility (see
-// FlatProblem.solveGroup).
+// iterate. The pair prefilter of Alg 5 is the caller's responsibility (see
+// FlatProblem.rejects).
 func SolveBounded(pts []WeightedPoint, opt Options, costBound float64) (Result, error) {
 	return solveBounded(pts, opt, costBound)
 }

@@ -326,7 +326,7 @@ func TestBatchMixedFastPaths(t *testing.T) {
 	}
 	// The zero-cost single point sets the bound; the 1- and 2-point groups
 	// solve exactly (no prefilter below 3 points) and the 3-point and
-	// collinear groups are discarded by the two-point prefilter.
+	// collinear groups are discarded by the pair prefilter.
 	if res.Stats.ExactSolves != 2 || res.Stats.Prefiltered != 2 {
 		t.Fatalf("want 2 exact solves + 2 prefiltered, got %+v", res.Stats)
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // The Streamer golden pins the exact output of every NewStreamerVariant
-// setting — no pruning, the two-point prefilter alone, the in-iteration
+// setting — no pruning, the pair prefilter alone, the in-iteration
 // bound alone, and both — over seeded batches of 1–6-point groups (with
 // collinear and coincident groups and one empty group), with and without
 // offsets. Each record holds the winner's location and cost bits, its group
