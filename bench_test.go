@@ -86,17 +86,17 @@ func benchFW(b *testing.B, problems int, cb bool) {
 	b.Helper()
 	groups := fig10Groups(problems)
 	fg := &fermat.FlatGroups{}
-	var w []float64
 	for _, g := range groups {
 		fg.Starts = append(fg.Starts, int32(len(fg.X)))
 		for _, p := range g {
 			fg.X = append(fg.X, p.P.X)
 			fg.Y = append(fg.Y, p.P.Y)
-			w = append(w, p.W)
+			fg.Base = append(fg.Base, p.W)
 		}
 	}
 	fg.Starts = append(fg.Starts, int32(len(fg.X)))
-	flat := []fermat.FlatProblem{{Geom: fg, W: w}}
+	fg.Typ = make([]int32, len(fg.X))
+	flat := []fermat.FlatProblem{{Geom: fg, Scale: []float64{1}}}
 	opt := fermat.Options{Epsilon: 1e-3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

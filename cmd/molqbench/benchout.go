@@ -260,6 +260,24 @@ func benchSuite(quick bool) ([]benchSpec, error) {
 			b.ReportMetric(float64(optimize.Nanoseconds())/float64(b.N), "optimize-ns/op")
 		},
 	})
+	// Sixteen vectors in one QueryBatch on the same engine shape, pool
+	// sized as served (Workers 0): a per-vector O(points) setup would pay
+	// for every point of the snapshot sixteen times.
+	paperBatch := make([][]float64, 16)
+	for i := range paperBatch {
+		paperBatch[i] = []float64{0.5 + 9.5*r.Float64(), 0.5 + 9.5*r.Float64(), 0.5 + 9.5*r.Float64()}
+	}
+	specs = append(specs, benchSpec{
+		name: "BenchmarkEngineQueryBatch/batch16/paper3x1000",
+		fn: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := paperEng.QueryBatch(paperBatch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	})
 	// Update-vs-rebuild pair at maintenance scale: one insert+delete
 	// round-trip on a prepared engine (incremental MOVD repair) against a
 	// full Prepare of the same instance. The committed baseline gates the

@@ -108,20 +108,21 @@ func fig10Groups(problems int, seed int64) []fermat.Group {
 }
 
 // flatBatch packs groups into the optimizer's structure-of-arrays layout as
-// one zero-offset problem.
+// one zero-offset problem whose points carry their own weights (Typ all 0,
+// Scale = {1}).
 func flatBatch(groups []fermat.Group) fermat.FlatProblem {
 	g := &fermat.FlatGroups{Starts: make([]int32, 0, len(groups)+1)}
-	var w []float64
 	for _, grp := range groups {
 		g.Starts = append(g.Starts, int32(len(g.X)))
 		for _, p := range grp {
 			g.X = append(g.X, p.P.X)
 			g.Y = append(g.Y, p.P.Y)
-			w = append(w, p.W)
+			g.Base = append(g.Base, p.W)
 		}
 	}
 	g.Starts = append(g.Starts, int32(len(g.X)))
-	return fermat.FlatProblem{Geom: g, W: w}
+	g.Typ = make([]int32, len(g.X))
+	return fermat.FlatProblem{Geom: g, Scale: []float64{1}}
 }
 
 // costBound runs the production Algorithm 5 driver on one problem.

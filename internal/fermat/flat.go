@@ -15,33 +15,48 @@ import (
 // Feeding that scan []Group — a slice of slices of 24-byte structs — costs
 // a pointer chase and most of a cache line per group. The
 // flat layout splits the batch into what is shared across weight vectors
-// (FlatGroups: coordinates, group boundaries, pair distances — built once per
-// engine snapshot) and what one vector owns (FlatProblem: folded weights and
-// offsets, written into a caller-provided slab), so the scan and the 1/2-point
-// fast paths read contiguous float64 arrays end to end. Groups that actually
-// need a solver (≥ 3 points, not prefiltered) are gathered into a per-worker
-// []WeightedPoint scratch and handed to the iterative and exact solvers. An
-// engine snapshot's FlatGroups also carries a scan order by a
-// weight-independent key, which lets a query stop after the few groups that
-// can still win. The Streamer evaluates each offered group as a one-group
-// FlatProblem through the same rejects and solveGroup, so the in-order and
-// batch optimizers cannot drift.
+// (FlatGroups: coordinates, group boundaries, pair distances and each
+// point's weight-independent weight factors — built once per engine
+// snapshot) and what one vector owns (FlatProblem: one scale per type), so
+// the scan and the 1/2-point fast paths read contiguous arrays end to end
+// and fold a point's weight only when they read it. A query that visits a
+// few dozen groups therefore pays for a few dozen folds, not one per point.
+// Groups that actually need a solver (≥ 3 points, not prefiltered) are
+// gathered into a per-worker []WeightedPoint scratch and handed to the
+// iterative and exact solvers. An engine snapshot's FlatGroups also carries
+// a scan order by a weight-independent key, which lets a query stop after
+// the few groups that can still win. The Streamer evaluates each offered
+// group as a one-group FlatProblem through the same rejects and solveGroup,
+// so the in-order and batch optimizers cannot drift.
 
-// FlatGroups is the weight-independent geometry of a batch of Fermat-Weber
+// FlatGroups is the weight-independent half of a batch of Fermat-Weber
 // problems in structure-of-arrays form: point i of group g lives at
 // (X[k], Y[k]) for k in [Starts[g], Starts[g+1]). PairDist[g] caches
 // d(p_0, p_1) of each group with ≥ 2 points (entries for shorter groups are
 // ignored; a nil slice means distances are computed on demand). Order, when
 // non-nil, is BoundOrder's permutation of the group indices: the scan visits
 // groups in that order and stops early once no later group can pass the
-// prefilter (see FlatProblem.MinW); nil scans in index order. One
-// FlatGroups is immutable after construction and shared by every weight
-// vector and every worker.
+// prefilter (see FlatProblem.MinW); nil scans in index order.
+//
+// Typ, Base and OffBase are each point's weight factors, which a
+// FlatProblem's per-type Scale completes: point k weighs
+// Scale[Typ[k]]·Base[k], and a group's constant cost offset is the sum of
+// Scale[Typ[k]]·OffBase[k] over its points, in point order. OffBase nil
+// means every offset is zero. Every factor must be positive and finite
+// (OffBase entries non-negative), so offsets are non-negative: they shift
+// the comparison against the global bound. Additively weighted MOLQ
+// optimizers produce exactly this shape — with the additive object weight
+// function, WD = w^t·d + w^t·w^o and the second term is constant per
+// combination. One FlatGroups is immutable after construction and shared
+// by every weight vector and every worker.
 type FlatGroups struct {
 	X, Y     []float64
 	Starts   []int32
 	PairDist []float64
 	Order    []int32
+	Typ      []int32
+	Base     []float64
+	OffBase  []float64
 }
 
 // Len returns the number of groups.
@@ -144,41 +159,44 @@ func (f *FlatGroups) BoundOrder() []int32 {
 	return order
 }
 
-// FlatProblem is one weight vector's batch over a shared FlatGroups: W[k] is
-// the folded weight of flat point k (parallel to Geom.X/Y) and Offsets[g] is
-// the constant cost offset of group g (nil means all zeros). Offsets must be
-// non-negative: they shift the comparison against the global bound. Additively
-// weighted MOLQ optimizers produce exactly this shape — with the additive
-// object weight function, WD = w^t·d + w^t·w^o and the second term is
-// constant per combination. MinW is a lower bound on every W[k]; with
-// Geom.Order set and MinW > 0 the scan stops at the first group whose
-// MinW·keyFloor(scanKey) exceeds the cost bound, since the prefilter then
-// rejects it and every later group. MinW = 0 disables the stop. The caller
-// owns W and Offsets — the query layer carves them out of a per-query arena —
-// and must keep them alive and unchanged for the duration of the solve.
+// FlatProblem is one weight vector's batch over a shared FlatGroups: Scale
+// holds one factor per point type, which the scan multiplies into a point's
+// Base (and OffBase) when it reads the point, so setting up a problem costs
+// O(types) however many points the geometry holds. A caller whose points
+// carry their own weights passes them folded as Base and OffBase, with Typ
+// all 0 and Scale = {1}: multiplying by 1 and adding 0 are exact, so that
+// form reads back the caller's weights and offsets bit for bit. MinW is a
+// lower bound on every point's weight; with Geom.Order set and MinW > 0 the
+// scan stops at the first group whose MinW·keyFloor(scanKey) exceeds the
+// cost bound, since the prefilter then rejects it and every later group.
+// MinW = 0 disables the stop. Every Typ entry must index Scale; validate
+// checks lengths only, so as to stay O(1), and leaves the index to Go's
+// bounds check. The caller must keep Scale alive and unchanged for the
+// duration of the solve.
 type FlatProblem struct {
-	Geom    *FlatGroups
-	W       []float64
-	Offsets []float64
-	MinW    float64
+	Geom  *FlatGroups
+	Scale []float64
+	MinW  float64
 }
 
 // ErrBadFlat reports a structurally inconsistent flat problem.
 var ErrBadFlat = errors.New("fermat: malformed flat problem")
 
+// validate checks the problem's shape in O(1): array lengths against the
+// point and group counts, never the entries.
 func (p *FlatProblem) validate() error {
 	f := p.Geom
 	if f == nil || f.Len() == 0 {
 		return ErrNoPoints
 	}
 	n := len(f.X)
-	if len(f.Y) != n || len(p.W) != n {
+	if len(f.Y) != n || len(f.Typ) != n || len(f.Base) != n || len(p.Scale) == 0 {
 		return ErrBadFlat
 	}
 	if int(f.Starts[0]) != 0 || int(f.Starts[f.Len()]) != n {
 		return ErrBadFlat
 	}
-	if p.Offsets != nil && len(p.Offsets) != f.Len() {
+	if f.OffBase != nil && len(f.OffBase) != n {
 		return ErrBadOffsets
 	}
 	if f.PairDist != nil && len(f.PairDist) != f.Len() {
@@ -190,12 +208,23 @@ func (p *FlatProblem) validate() error {
 	return nil
 }
 
-// off returns group gi's constant cost offset.
+// w returns the weight of flat point k.
+func (p *FlatProblem) w(k int) float64 {
+	return p.Scale[p.Geom.Typ[k]] * p.Geom.Base[k]
+}
+
+// off returns group gi's constant cost offset, summed over its points in
+// point order.
 func (p *FlatProblem) off(gi int) float64 {
-	if p.Offsets == nil {
+	f := p.Geom
+	if f.OffBase == nil {
 		return 0
 	}
-	return p.Offsets[gi]
+	off := 0.0
+	for k := f.Starts[gi]; k < f.Starts[gi+1]; k++ {
+		off += p.Scale[f.Typ[k]] * f.OffBase[k]
+	}
+	return off
 }
 
 // gather materialises group [s, t) into the caller's scratch slice, growing
@@ -211,7 +240,7 @@ func (p *FlatProblem) gather(scratch *[]WeightedPoint, s, t int) Group {
 	g = g[:n]
 	f := p.Geom
 	for i := 0; i < n; i++ {
-		g[i] = WeightedPoint{P: geom.Pt(f.X[s+i], f.Y[s+i]), W: p.W[s+i]}
+		g[i] = WeightedPoint{P: geom.Pt(f.X[s+i], f.Y[s+i]), W: p.w(s + i)}
 	}
 	return Group(g)
 }
@@ -238,11 +267,12 @@ func (p *FlatProblem) pairsExceed(gi int, cb float64) bool {
 	if math.IsInf(cb, 1) {
 		return false
 	}
-	f, w, off := p.Geom, p.W, p.off(gi)
+	f, off := p.Geom, p.off(gi)
 	s := int(f.Starts[gi])
-	return min(w[s], w[s+1])*f.pair(gi, s)+off > cb ||
-		min(w[s], w[s+2])*f.dist(s, s+2)+off > cb ||
-		min(w[s+1], w[s+2])*f.dist(s+1, s+2)+off > cb
+	w0, w1, w2 := p.w(s), p.w(s+1), p.w(s+2)
+	return min(w0, w1)*f.pair(gi, s)+off > cb ||
+		min(w0, w2)*f.dist(s, s+2)+off > cb ||
+		min(w1, w2)*f.dist(s+1, s+2)+off > cb
 }
 
 // at returns the group a scan visits at rank r.
@@ -291,7 +321,7 @@ func (p *FlatProblem) solveGroup(gi int, opt Options, iter *atomicMin, st *Batch
 		// over the pair distance (see solve2) — four flat loads, no gather.
 		st.ExactSolves++
 		d := f.pair(gi, s)
-		w0, w1 := p.W[s], p.W[s+1]
+		w0, w1 := p.w(s), p.w(s+1)
 		if w1 > w0 {
 			return Result{Loc: geom.Pt(f.X[s+1], f.Y[s+1]), Cost: w0 * d, Exact: true}, true, nil
 		}

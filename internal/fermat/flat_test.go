@@ -8,24 +8,44 @@ import (
 	"molq/internal/geom"
 )
 
-// flatten packs slice-of-structs groups and their offsets into one flat
-// problem, caching pair distances the way the query layer does.
+// flatten packs slice-of-structs groups and their per-group offsets (nil
+// means none) into one flat problem in the form for points that carry their
+// own weights: Typ all 0, Scale = {1}, each group's offset on its first
+// point's OffBase. It caches pair distances the way the query layer does.
 func flatten(groups []Group, offsets []float64) FlatProblem {
 	fg := &FlatGroups{Starts: make([]int32, 0, len(groups)+1), PairDist: make([]float64, len(groups))}
-	var w []float64
+	if offsets != nil {
+		fg.OffBase = []float64{}
+	}
 	for gi, g := range groups {
 		fg.Starts = append(fg.Starts, int32(len(fg.X)))
-		for _, p := range g {
+		for i, p := range g {
 			fg.X = append(fg.X, p.P.X)
 			fg.Y = append(fg.Y, p.P.Y)
-			w = append(w, p.W)
+			fg.Base = append(fg.Base, p.W)
+			if offsets != nil {
+				off := 0.0
+				if i == 0 {
+					off = offsets[gi]
+				}
+				fg.OffBase = append(fg.OffBase, off)
+			}
 		}
 		if len(g) >= 2 {
 			fg.PairDist[gi] = g[0].P.Dist(g[1].P)
 		}
 	}
 	fg.Starts = append(fg.Starts, int32(len(fg.X)))
-	return FlatProblem{Geom: fg, W: w, Offsets: offsets}
+	fg.Typ = make([]int32, len(fg.X))
+	return FlatProblem{Geom: fg, Scale: []float64{1}}
+}
+
+// shortOffBase returns groups as a flat problem whose OffBase is one entry
+// short of the point count, which every driver must reject.
+func shortOffBase(groups []Group) []FlatProblem {
+	p := flatten(groups, nil)
+	p.Geom.OffBase = make([]float64, len(p.Geom.X)-1)
+	return []FlatProblem{p}
 }
 
 // solveFlat runs the batch driver on one problem.
@@ -108,11 +128,14 @@ func randomFlatInstance(r *rand.Rand, ng, nv int, withOffsets bool) ([]sliceProb
 		}
 		slices[vi] = sliceProblem{groups, offsets}
 		flat[vi] = flatten(groups, offsets)
-		// Every vector shares one geometry, as in Engine.QueryBatch.
+		// Every vector shares the coordinates and pair distances, as in
+		// Engine.QueryBatch; its weights are its own Base and OffBase.
 		if fg == nil {
 			fg = flat[vi].Geom
 		}
-		flat[vi].Geom = fg
+		own := *fg
+		own.Base, own.OffBase = flat[vi].Geom.Base, flat[vi].Geom.OffBase
+		flat[vi].Geom = &own
 	}
 	return slices, flat
 }
@@ -201,11 +224,20 @@ func TestFlatBatchMatchesParallel(t *testing.T) {
 func TestFlatValidation(t *testing.T) {
 	ctx := context.Background()
 	ok := FlatProblem{
-		Geom: &FlatGroups{X: []float64{0, 1}, Y: []float64{0, 0}, Starts: []int32{0, 2}},
-		W:    []float64{1, 2},
+		Geom: &FlatGroups{
+			X: []float64{0, 1}, Y: []float64{0, 0}, Starts: []int32{0, 2},
+			Typ: []int32{0, 0}, Base: []float64{1, 2},
+		},
+		Scale: []float64{1},
 	}
 	if _, err := CostBoundMultiBatchFlatCtx(ctx, []FlatProblem{ok}, Options{}, 1); err != nil {
 		t.Fatalf("valid problem rejected: %v", err)
+	}
+	// with returns ok with its geometry changed by mod.
+	with := func(mod func(*FlatGroups)) FlatProblem {
+		g := *ok.Geom
+		mod(&g)
+		return FlatProblem{Geom: &g, Scale: ok.Scale}
 	}
 	cases := []struct {
 		name string
@@ -214,17 +246,61 @@ func TestFlatValidation(t *testing.T) {
 	}{
 		{"nil geom", FlatProblem{}, ErrNoPoints},
 		{"empty geom", FlatProblem{Geom: &FlatGroups{Starts: []int32{0}}}, ErrNoPoints},
-		{"weights length", FlatProblem{Geom: ok.Geom, W: []float64{1}}, ErrBadFlat},
-		{"offsets length", FlatProblem{Geom: ok.Geom, W: ok.W, Offsets: []float64{0, 0}}, ErrBadOffsets},
-		{"pairdist length", FlatProblem{
-			Geom: &FlatGroups{X: ok.Geom.X, Y: ok.Geom.Y, Starts: ok.Geom.Starts, PairDist: []float64{1, 1}},
-			W:    ok.W,
-		}, ErrBadPairDist},
+		{"types length", with(func(g *FlatGroups) { g.Typ = []int32{0} }), ErrBadFlat},
+		{"base length", with(func(g *FlatGroups) { g.Base = []float64{1, 2, 3} }), ErrBadFlat},
+		{"empty scale", FlatProblem{Geom: ok.Geom}, ErrBadFlat},
+		{"offset factors length", with(func(g *FlatGroups) { g.OffBase = []float64{0} }), ErrBadOffsets},
+		{"pairdist length", with(func(g *FlatGroups) { g.PairDist = []float64{1, 1} }), ErrBadPairDist},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
 			if _, err := CostBoundMultiBatchFlatCtx(ctx, []FlatProblem{ok, tc.p}, Options{}, workers); err != tc.want {
 				t.Errorf("%s (workers %d): err %v, want %v", tc.name, workers, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestScaleFoldMatchesFoldedWeights checks the per-type form against the
+// same weights folded per point: a geometry whose points carry types 0–2,
+// factors and offset factors, scaled by a per-type vector, must answer bit
+// for bit — winner, cost and work counters — as the problem whose Base and
+// OffBase hold Scale[Typ[k]]·Base[k] and Scale[Typ[k]]·OffBase[k] under
+// Typ 0 and Scale = {1}.
+func TestScaleFoldMatchesFoldedWeights(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
+	ctx := context.Background()
+	for trial := 0; trial < 20; trial++ {
+		_, flat := randomFlatInstance(r, 4+r.Intn(30), 1, false)
+		typed := *flat[0].Geom
+		n := len(typed.X)
+		typed.Typ, typed.Base, typed.OffBase = make([]int32, n), make([]float64, n), make([]float64, n)
+		for k := range typed.Typ {
+			typed.Typ[k] = int32(r.Intn(3))
+			typed.Base[k] = 0.1 + 3*r.Float64()
+			if typed.Typ[k] == 2 {
+				typed.OffBase[k] = 2 * r.Float64()
+			}
+		}
+		scale := []float64{0.5 + r.Float64(), 0.5 + r.Float64(), 0.5 + r.Float64()}
+		folded := typed
+		folded.Typ, folded.Base, folded.OffBase = make([]int32, n), make([]float64, n), make([]float64, n)
+		for k := range folded.Base {
+			folded.Base[k] = scale[typed.Typ[k]] * typed.Base[k]
+			folded.OffBase[k] = scale[typed.Typ[k]] * typed.OffBase[k]
+		}
+		for _, workers := range []int{1, 4} {
+			want, err := CostBoundMultiBatchFlatCtx(ctx, []FlatProblem{{Geom: &folded, Scale: []float64{1}}}, Options{}, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := CostBoundMultiBatchFlatCtx(ctx, []FlatProblem{{Geom: &typed, Scale: scale}}, Options{}, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBatchesEqual(t, "scaled", want, got)
+			if workers == 1 && got[0].Stats != want[0].Stats {
+				t.Fatalf("trial %d: scaled stats %+v, folded %+v", trial, got[0].Stats, want[0].Stats)
 			}
 		}
 	}
@@ -254,11 +330,11 @@ func TestFlatTwoPointExactness(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a, b := geom.Pt(r.Float64()*10, r.Float64()*10), geom.Pt(r.Float64()*10, r.Float64()*10)
 		wa, wb := 0.1+r.Float64(), 0.1+r.Float64()
-		fg := &FlatGroups{X: []float64{a.X, b.X}, Y: []float64{a.Y, b.Y}, Starts: []int32{0, 2}}
+		fg := &FlatGroups{X: []float64{a.X, b.X}, Y: []float64{a.Y, b.Y}, Starts: []int32{0, 2}, Typ: []int32{0, 0}, Base: []float64{wa, wb}}
 		if i%2 == 0 {
 			fg.PairDist = []float64{a.Dist(b)}
 		}
-		got, err := CostBoundMultiBatchFlatCtx(context.Background(), []FlatProblem{{Geom: fg, W: []float64{wa, wb}}}, Options{}, 1)
+		got, err := CostBoundMultiBatchFlatCtx(context.Background(), []FlatProblem{{Geom: fg, Scale: []float64{1}}}, Options{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func (b *BatchResult) offer(cost float64, loc geom.Point, gi int) {
 
 // Errors reported for malformed problems.
 var (
-	ErrBadOffsets  = errors.New("fermat: offsets length does not match groups")
+	ErrBadOffsets  = errors.New("fermat: offset factors length does not match points")
 	ErrBadPairDist = errors.New("fermat: pair distances length does not match groups")
 )
 

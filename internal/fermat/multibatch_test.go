@@ -74,8 +74,7 @@ func TestMultiBatchValidation(t *testing.T) {
 		t.Fatalf("empty problem: got %v, want ErrNoPoints", err)
 	}
 	g := Group{{P: geom.Pt(0, 0), W: 1}, {P: geom.Pt(1, 1), W: 1}}
-	bad := []FlatProblem{flatten([]Group{g}, []float64{1, 2})}
-	if _, err := CostBoundMultiBatchFlatCtx(ctx, bad, Options{}, 4); err != ErrBadOffsets {
+	if _, err := CostBoundMultiBatchFlatCtx(ctx, shortOffBase([]Group{g}), Options{}, 4); err != ErrBadOffsets {
 		t.Fatalf("bad offsets: got %v, want ErrBadOffsets", err)
 	}
 }

@@ -1,6 +1,7 @@
 package fermat
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,7 +66,7 @@ func TestOffsetsBatchAgreement(t *testing.T) {
 
 func TestOffsetsValidation(t *testing.T) {
 	groups := randomGroups(1, 3, 4)
-	if _, err := solveFlat(groups, []float64{1}, Options{}, 1); err != ErrBadOffsets {
+	if _, err := CostBoundMultiBatchFlatCtx(context.Background(), shortOffBase(groups), Options{}, 1); err != ErrBadOffsets {
 		t.Fatalf("want ErrBadOffsets, got %v", err)
 	}
 	// nil offsets behave like zeros.

@@ -2,6 +2,7 @@ package fermat
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,6 @@ func orderTestGroups(r *rand.Rand, ng, minPts int) [][]geom.Point {
 // geometry each: scanned in index order, and bound-ordered with MinW set.
 // A small spread keeps MinW close to every weight, so the stop fires early.
 func orderTestProblems(r *rand.Rand, base [][]geom.Point, nv int, spread float64, withOffsets bool) (plain, ordered []FlatProblem) {
-	var geomPlain *FlatGroups
 	for vi := 0; vi < nv; vi++ {
 		groups := make([]Group, len(base))
 		var offsets []float64
@@ -55,25 +55,26 @@ func orderTestProblems(r *rand.Rand, base [][]geom.Point, nv int, spread float64
 				offsets[gi] = r.Float64() * 5
 			}
 		}
-		p := flatten(groups, offsets)
-		if geomPlain == nil {
-			geomPlain = p.Geom
-		}
-		p.Geom = geomPlain
-		plain = append(plain, p)
+		plain = append(plain, flatten(groups, offsets))
 	}
-	geomOrdered := *geomPlain
-	geomOrdered.Order = geomOrdered.BoundOrder()
 	for _, p := range plain {
-		p.Geom = &geomOrdered
-		for k, w := range p.W {
-			if k == 0 || w < p.MinW {
-				p.MinW = w
-			}
-		}
+		g := *p.Geom
+		g.Order = g.BoundOrder()
+		p.Geom = &g
+		p.MinW = minWeight(&g)
 		ordered = append(ordered, p)
 	}
 	return plain, ordered
+}
+
+// minWeight is the smallest Base of a geometry in the Scale = {1} form,
+// the tightest valid MinW.
+func minWeight(f *FlatGroups) float64 {
+	m := math.Inf(1)
+	for _, b := range f.Base {
+		m = min(m, b)
+	}
+	return m
 }
 
 // nonEmpty counts the groups with at least one point.

@@ -1,6 +1,7 @@
 package fermat
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestParallelEdgeCases(t *testing.T) {
 		t.Fatalf("want ErrNoPoints, got %v", err)
 	}
 	groups := randomGroups(9, 3, 5)
-	if _, err := solveFlat(groups, []float64{1}, Options{}, 4); err != ErrBadOffsets {
+	if _, err := CostBoundMultiBatchFlatCtx(context.Background(), shortOffBase(groups), Options{}, 4); err != ErrBadOffsets {
 		t.Fatalf("want ErrBadOffsets, got %v", err)
 	}
 	// workers > groups and workers <= 0 both still work.

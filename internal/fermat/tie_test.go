@@ -60,11 +60,7 @@ func TestWarmStartTieLowestIndexWins(t *testing.T) {
 func orderedTied(groups []Group) FlatProblem {
 	p := flatten(groups, nil)
 	p.Geom.Order = p.Geom.BoundOrder()
-	for k, w := range p.W {
-		if k == 0 || w < p.MinW {
-			p.MinW = w
-		}
-	}
+	p.MinW = minWeight(p.Geom)
 	return p
 }
 

@@ -153,8 +153,8 @@ func TestEngineReplicasRefreshOnMutation(t *testing.T) {
 }
 
 // TestEngineReplicasConcurrent hammers a replicated engine from many
-// goroutines (meaningful under -race): replica claiming, lazy refresh and
-// arena reuse must never corrupt results.
+// goroutines (meaningful under -race): replica claiming and lazy refresh
+// must never corrupt results.
 func TestEngineReplicasConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	in := randomInput(r, []int{10, 10}, false)

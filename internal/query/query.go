@@ -293,23 +293,8 @@ func (in *Input) optimize(ctx context.Context, combos [][]core.Object) (fermat.B
 			return nil
 		})
 	}
-	g := flatGroups(combos, nil, nil)
-	p := fermat.FlatProblem{Geom: &g, W: make([]float64, 0, len(g.X))}
-	for ti := range in.Sets {
-		if in.kind(ti) == AdditiveObjWeights {
-			p.Offsets = make([]float64, len(combos))
-			break
-		}
-	}
-	for ci, c := range combos {
-		for _, o := range c {
-			w, off := in.fold(o)
-			p.W = append(p.W, w)
-			if p.Offsets != nil {
-				p.Offsets[ci] += off
-			}
-		}
-	}
+	g := in.flatGroups(combos, false)
+	p := fermat.FlatProblem{Geom: &g, Scale: []float64{1}}
 	out, err := fermat.CostBoundMultiBatchFlatCtx(ctx, []fermat.FlatProblem{p}, in.options(), max(in.Workers, 1))
 	if err != nil {
 		return fermat.BatchResult{}, err
