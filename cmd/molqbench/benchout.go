@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -10,11 +11,13 @@ import (
 	"time"
 
 	"molq/internal/benchfmt"
+	"molq/internal/cluster"
 	"molq/internal/core"
 	"molq/internal/dataset"
 	"molq/internal/geom"
 	"molq/internal/mwvd"
 	"molq/internal/query"
+	"molq/internal/store"
 	"molq/internal/voronoi"
 	"molq/internal/weighted"
 )
@@ -278,6 +281,48 @@ func benchSuite(quick bool) ([]benchSpec, error) {
 			}
 		},
 	})
+	// The shard snapshot codec on shard 0 of the same engine cut into the
+	// two strips a two-replica router ships. MB/s is over the shard's
+	// encoded bytes.
+	shardMovd, shardSets, shardVersion := paperEng.Prepared()
+	shardIn := paperInput(1000)
+	shardStrips := cluster.Strips(shardIn.Bounds, 2)
+	shardSub := cluster.SplitMOVD(shardMovd, shardStrips)[0]
+	shardMeta := cluster.ShardMetaFor("paper", shardIn, query.RRB, 0, len(shardStrips),
+		shardStrips[0], shardVersion, []string{dataset.STM, dataset.CH, dataset.SCH}, shardSets)
+	var shardBuf bytes.Buffer
+	if err := store.WriteShard(&shardBuf, shardMeta, shardSub); err != nil {
+		return nil, err
+	}
+	shardRaw := shardBuf.Bytes()
+	specs = append(specs,
+		benchSpec{
+			name: "BenchmarkShardCodec/write/paper3x1000",
+			fn: func(b *testing.B) {
+				out := bytes.NewBuffer(make([]byte, 0, len(shardRaw)))
+				b.SetBytes(int64(len(shardRaw)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out.Reset()
+					if err := store.WriteShard(out, shardMeta, shardSub); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		},
+		benchSpec{
+			name: "BenchmarkShardCodec/read/paper3x1000",
+			fn: func(b *testing.B) {
+				b.SetBytes(int64(len(shardRaw)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := store.ReadShard(bytes.NewReader(shardRaw)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		},
+	)
 	// Update-vs-rebuild pair at maintenance scale: one insert+delete
 	// round-trip on a prepared engine (incremental MOVD repair) against a
 	// full Prepare of the same instance. The committed baseline gates the
@@ -458,6 +503,11 @@ func benchSuite(quick bool) ([]benchSpec, error) {
 // and SCH paper types with n clustered objects each, unit weights, and one
 // read replica per core as the HTTP engine create configures.
 func paperEngine(n int) (*query.Engine, error) {
+	return query.NewEngine(paperInput(n), query.RRB)
+}
+
+// paperInput is paperEngine's input.
+func paperInput(n int) query.Input {
 	names := []string{dataset.STM, dataset.CH, dataset.SCH}
 	in := query.Input{
 		Sets:                make([][]core.Object, len(names)),
@@ -470,7 +520,7 @@ func paperEngine(n int) (*query.Engine, error) {
 			in.Sets[ti] = append(in.Sets[ti], core.Object{ID: i, Type: ti, Loc: p, TypeWeight: 1, ObjWeight: 1})
 		}
 	}
-	return query.NewEngine(in, query.RRB)
+	return in
 }
 
 // weightedBenchSites draws one non-uniformly weighted site set for the
@@ -546,6 +596,9 @@ func collectBenchSuite(quick bool, progress io.Writer) ([]benchfmt.Result, error
 			"ns/op":     float64(r.NsPerOp()),
 			"B/op":      float64(r.AllocedBytesPerOp()),
 			"allocs/op": float64(r.AllocsPerOp()),
+		}
+		if r.Bytes > 0 && r.T > 0 {
+			metrics["MB/s"] = float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()
 		}
 		for unit, v := range r.Extra {
 			metrics[unit] = v

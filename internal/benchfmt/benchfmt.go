@@ -175,11 +175,11 @@ func worstFor(ds []Delta, name string) float64 {
 // HigherIsBetter reports the regression direction of a metric unit. For
 // most units (latency, bytes, allocations) smaller is better and a ratio
 // above 1 regresses; for throughput and effectiveness units — QPS from the
-// load harness, cache hit rates — bigger is better and a ratio below 1
-// regresses.
+// load harness, codec MB/s, cache hit rates — bigger is better and a ratio
+// below 1 regresses.
 func HigherIsBetter(unit string) bool {
 	switch unit {
-	case "qps", "cache-hit-rate", "OVRs", "ops/s":
+	case "qps", "cache-hit-rate", "OVRs", "ops/s", "MB/s":
 		return true
 	default:
 		return false

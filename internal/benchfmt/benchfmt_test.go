@@ -100,7 +100,7 @@ BenchmarkNew-8 	 10	 7 ns/op
 // a qps decrease beyond threshold regresses, an increase never does — the
 // mirror image of ns/op.
 func TestRegressionsHigherIsBetter(t *testing.T) {
-	for _, unit := range []string{"qps", "cache-hit-rate"} {
+	for _, unit := range []string{"qps", "cache-hit-rate", "MB/s"} {
 		if !HigherIsBetter(unit) {
 			t.Fatalf("HigherIsBetter(%q) = false", unit)
 		}

@@ -270,32 +270,51 @@ func (r *Router) syncNode(nodeID string) {
 		// cannot slip between the cut and the record, so the node never
 		// holds a version the router does not know about.
 		re.mu.Lock()
-		for s := range re.strips {
-			if err := r.shipShard(re, s, node.Addr, nodeID); err != nil {
-				r.log.Warn("shard sync failed", "node", nodeID, "engine", re.name,
-					"shard", s, "err", err)
+		if cut, err := cutShards(re); err != nil {
+			r.log.Warn("shard sync failed", "node", nodeID, "engine", re.name, "err", err)
+		} else {
+			for s := range re.strips {
+				if err := r.shipShard(re, cut, s, node.Addr, nodeID); err != nil {
+					r.log.Warn("shard sync failed", "node", nodeID, "engine", re.name,
+						"shard", s, "err", err)
+				}
 			}
 		}
 		re.mu.Unlock()
 	}
 }
 
-// shipShard cuts shard s from the engine's current state and POSTs it to
-// the node, recording the shipped version on success. Caller holds re.mu.
-func (r *Router) shipShard(re *routerEngine, s int, addr, nodeID string) error {
-	movd, sets, _ := re.eng.Prepared()
-	version := re.eng.Version()
-	sub := SplitMOVD(movd, re.strips[s:s+1])[0]
-	meta := ShardMetaFor(re.name, re.in, re.method, s, len(re.strips), re.strips[s],
-		version, re.info.Types, sets)
-	var buf bytes.Buffer
-	if err := store.WriteShard(&buf, meta, sub); err != nil {
-		return err
+// shardCut is every shard snapshot of one engine version, encoded once and
+// shipped as the same bytes to every node.
+type shardCut struct {
+	version int64
+	shards  [][]byte
+}
+
+// cutShards splits the engine's current state into its strips in one pass
+// and encodes each shard. Caller holds re.mu.
+func cutShards(re *routerEngine) (*shardCut, error) {
+	movd, sets, version := re.eng.Prepared()
+	cut := &shardCut{version: version, shards: make([][]byte, len(re.strips))}
+	for s, sub := range SplitMOVD(movd, re.strips) {
+		meta := ShardMetaFor(re.name, re.in, re.method, s, len(re.strips), re.strips[s],
+			version, re.info.Types, sets)
+		var buf bytes.Buffer
+		if err := store.WriteShard(&buf, meta, sub); err != nil {
+			return nil, err
+		}
+		cut.shards[s] = buf.Bytes()
 	}
+	return cut, nil
+}
+
+// shipShard POSTs shard s of cut to the node, recording the shipped version
+// on success. Caller holds re.mu.
+func (r *Router) shipShard(re *routerEngine, cut *shardCut, s int, addr, nodeID string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		addr+"/cluster/v1/shards", bytes.NewReader(buf.Bytes()))
+		addr+"/cluster/v1/shards", bytes.NewReader(cut.shards[s]))
 	if err != nil {
 		return err
 	}
@@ -309,7 +328,7 @@ func (r *Router) shipShard(re *routerEngine, s int, addr, nodeID string) error {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("cluster: install on %s: %s: %s", nodeID, resp.Status, raw)
 	}
-	r.recordShipped(nodeID, re.name, s, version)
+	r.recordShipped(nodeID, re.name, s, cut.version)
 	r.shipMetric.With(re.name).Inc()
 	return nil
 }
@@ -409,13 +428,17 @@ func (r *Router) handleEngineCreate(w http.ResponseWriter, req *http.Request) {
 	}
 	r.engines[er.Name] = re
 	r.mu.Unlock()
-	for _, n := range r.members.Live() {
-		for s := range re.strips {
-			if err := r.shipShard(re, s, n.Addr, n.ID); err != nil {
-				r.log.Warn("initial ship failed", "node", n.ID, "engine", re.name,
-					"shard", s, "err", err)
-				r.demote(n.ID)
-				break
+	if cut, err := cutShards(re); err != nil {
+		r.log.Warn("initial ship failed", "engine", re.name, "err", err)
+	} else {
+		for _, n := range r.members.Live() {
+			for s := range re.strips {
+				if err := r.shipShard(re, cut, s, n.Addr, n.ID); err != nil {
+					r.log.Warn("initial ship failed", "node", n.ID, "engine", re.name,
+						"shard", s, "err", err)
+					r.demote(n.ID)
+					break
+				}
 			}
 		}
 	}
@@ -751,13 +774,21 @@ func (r *Router) mutate(w http.ResponseWriter, re *routerEngine, d Delta) {
 		}(i, tg)
 	}
 	wg.Wait()
+	var cut *shardCut // encoded on the first stale shard, shared by the rest
 	for i, tg := range targets {
 		if !failed[i] {
 			r.recordShipped(tg.node.ID, re.name, tg.shard, us.Version)
 			continue
 		}
 		r.staleMetric.Inc()
-		if err := r.shipShard(re, tg.shard, tg.node.Addr, tg.node.ID); err != nil {
+		var err error
+		if cut == nil {
+			cut, err = cutShards(re)
+		}
+		if err == nil {
+			err = r.shipShard(re, cut, tg.shard, tg.node.Addr, tg.node.ID)
+		}
+		if err != nil {
 			r.log.Warn("stale refetch failed, demoting node",
 				"node", tg.node.ID, "engine", re.name, "shard", tg.shard, "err", err)
 			r.demote(tg.node.ID)

@@ -40,23 +40,24 @@ func Strips(bounds geom.Rect, n int) []geom.Rect {
 }
 
 // SplitMOVD cuts a prepared MOVD into one sub-diagram per strip by MBR
-// intersection. Every OVR lands in at least one shard (the strips tile the
-// diagram bounds and OVR MBRs intersect them); boundary OVRs land in
-// several.
+// intersection, in one pass over the OVRs. Every OVR lands in at least one
+// shard (the strips tile the diagram bounds and OVR MBRs intersect them);
+// boundary OVRs land in several.
 func SplitMOVD(m *core.MOVD, strips []geom.Rect) []*core.MOVD {
 	out := make([]*core.MOVD, len(strips))
-	for i, strip := range strips {
-		sub := &core.MOVD{
+	for i := range out {
+		out[i] = &core.MOVD{
 			Types:  m.Types,
 			Bounds: m.Bounds,
 			Mode:   m.Mode,
 		}
-		for j := range m.OVRs {
+	}
+	for j := range m.OVRs {
+		for i, strip := range strips {
 			if m.OVRs[j].MBR.Intersects(strip) {
-				sub.OVRs = append(sub.OVRs, m.OVRs[j])
+				out[i].OVRs = append(out[i].OVRs, m.OVRs[j])
 			}
 		}
-		out[i] = sub
 	}
 	return out
 }

@@ -117,8 +117,8 @@ type Rect struct {
 // NewRect returns the rectangle spanning the two corner points in any order.
 func NewRect(a, b Point) Rect {
 	return Rect{
-		Min: Point{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
-		Max: Point{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
+		Min: Point{min(a.X, b.X), min(a.Y, b.Y)},
+		Max: Point{max(a.X, b.X), max(a.Y, b.Y)},
 	}
 }
 
@@ -184,8 +184,8 @@ func (r Rect) Intersects(s Rect) bool {
 // Intersect returns the common region of r and s (possibly empty).
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{
-		Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
+		Min: Point{max(r.Min.X, s.Min.X), max(r.Min.Y, s.Min.Y)},
+		Max: Point{min(r.Max.X, s.Max.X), min(r.Max.Y, s.Max.Y)},
 	}
 	return out
 }
@@ -199,8 +199,8 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
+		Min: Point{min(r.Min.X, s.Min.X), min(r.Min.Y, s.Min.Y)},
+		Max: Point{max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)},
 	}
 }
 

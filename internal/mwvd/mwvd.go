@@ -410,26 +410,10 @@ func quadrant(rect geom.Rect, k int) geom.Rect {
 	return sub
 }
 
-// minDist2 returns the squared Euclidean distance from p to the closest point
-// of rect (0 when p is inside).
-func minDist2(rect geom.Rect, p geom.Point) float64 {
-	dx := math.Max(0, math.Max(rect.Min.X-p.X, p.X-rect.Max.X))
-	dy := math.Max(0, math.Max(rect.Min.Y-p.Y, p.Y-rect.Max.Y))
-	return dx*dx + dy*dy
-}
-
 // rectInside reports whether inner lies fully within outer.
 func rectInside(inner, outer geom.Rect) bool {
 	return inner.Min.X >= outer.Min.X && inner.Min.Y >= outer.Min.Y &&
 		inner.Max.X <= outer.Max.X && inner.Max.Y <= outer.Max.Y
-}
-
-// maxDist2 returns the squared distance from p to the farthest point of rect
-// (always a corner).
-func maxDist2(rect geom.Rect, p geom.Point) float64 {
-	dx := math.Max(rect.Max.X-p.X, p.X-rect.Min.X)
-	dy := math.Max(rect.Max.Y-p.Y, p.Y-rect.Min.Y)
-	return dx*dx + dy*dy
 }
 
 // Build refines the approximate weighted Voronoi diagram of sites over
@@ -688,9 +672,30 @@ type refiner struct {
 // relative-factor stop rule are preserved under squaring, and the scan skips
 // the square roots), true cost for the additive one.
 func (w *refiner) cmpBounds(rect geom.Rect, i int32) (lo, hi float64) {
-	p := geom.Point{X: w.px[i], Y: w.py[i]}
-	lo2 := minDist2(rect, p)
-	hi2 := maxDist2(rect, p)
+	x, y := w.px[i], w.py[i]
+	// Signed gaps from the site past the cell's min side (l, b) and max
+	// side (r, t). Along x, the nearest point of the cell is max(0, l, r)
+	// away and the farthest corner max(-l, -r) = -min(l, r); one comparison
+	// picks both. Squaring makes the result independent of the sign of a
+	// zero gap, so the bounds are bit-identical to the math.Max forms.
+	l, r := rect.Min.X-x, x-rect.Max.X
+	nx, fx := r, -l
+	if l > r {
+		nx, fx = l, -r
+	}
+	if nx < 0 {
+		nx = 0
+	}
+	b, t := rect.Min.Y-y, y-rect.Max.Y
+	ny, fy := t, -b
+	if b > t {
+		ny, fy = b, -t
+	}
+	if ny < 0 {
+		ny = 0
+	}
+	lo2 := nx*nx + ny*ny
+	hi2 := fx*fx + fy*fy
 	if w.additive {
 		return math.Sqrt(lo2) + w.wf[i], math.Sqrt(hi2) + w.wf[i]
 	}

@@ -419,3 +419,75 @@ func TestMutationPointsManaged(t *testing.T) {
 		}
 	}
 }
+
+// TestMutationKeySetFarFromOrigin checks that a seeded run of inserts and
+// deletes leaves the engine with exactly the combinations a rebuild over
+// the final sets finds, key for key. The objects form dense clusters far
+// from the origin (coordinates near 5,850 with spacing near 10), the shape
+// under which the Voronoi hole repair once mis-scaled its cocircularity
+// tolerance and left non-Delaunay cells behind.
+func TestMutationKeySetFarFromOrigin(t *testing.T) {
+	r := rand.New(rand.NewSource(1421))
+	near := func() geom.Point { return geom.Pt(5800+r.Float64()*100, 5250+r.Float64()*100) }
+	in := Input{
+		Sets:                make([][]core.Object, 2),
+		Bounds:              geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000)),
+		DisableDiagramCache: true,
+	}
+	for ti := range in.Sets {
+		for i := 0; i < 120; i++ {
+			in.Sets[ti] = append(in.Sets[ti], core.Object{ID: i, Type: ti, Loc: near(), TypeWeight: 1, ObjWeight: 1})
+		}
+	}
+	eng, err := NewEngine(in, RRB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := newMutModel(in)
+	for op := 0; op < 400; op++ {
+		ti := r.Intn(len(model.sets))
+		set := model.sets[ti]
+		if r.Intn(2) == 0 && len(set) > 60 {
+			at := r.Intn(len(set))
+			if _, err := eng.DeleteObject(ti, set[at].ID); err != nil {
+				t.Fatalf("op %d: delete: %v", op, err)
+			}
+			model.sets[ti] = append(append([]core.Object(nil), set[:at]...), set[at+1:]...)
+			continue
+		}
+		obj := core.Object{ID: model.nextID, Type: ti, Loc: near(), TypeWeight: 1, ObjWeight: 1}
+		model.nextID++
+		if _, err := eng.InsertObject(obj); err != nil {
+			t.Fatalf("op %d: insert: %v", op, err)
+		}
+		model.sets[ti] = append(append([]core.Object(nil), set...), obj)
+	}
+	fresh, err := NewEngine(model.input(in), RRB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(e *Engine) map[string]bool {
+		movd, _, _ := e.Prepared()
+		out := make(map[string]bool, len(movd.OVRs))
+		for i := range movd.OVRs {
+			out[movd.OVRs[i].DedupKey()] = true
+		}
+		return out
+	}
+	got, want := keys(eng), keys(fresh)
+	missing, extra := 0, 0
+	for k := range want {
+		if !got[k] {
+			missing++
+		}
+	}
+	for k := range got {
+		if !want[k] {
+			extra++
+		}
+	}
+	if missing > 0 || extra > 0 {
+		t.Fatalf("mutated engine has %d combinations, rebuild %d: %d missing, %d extra",
+			len(got), len(want), missing, extra)
+	}
+}

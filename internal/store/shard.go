@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -72,9 +73,9 @@ type ShardMeta struct {
 	Replicas int
 }
 
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.emit([]byte(s))
+func appendStr(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }
 
 func (r *reader) str() string {
@@ -97,77 +98,55 @@ func (r *reader) str() string {
 	return string(b)
 }
 
-func (w *writer) object(o core.Object) {
-	w.i32(int32(o.ID))
-	w.i32(int32(o.Type))
-	w.point(o.Loc)
-	w.f64(o.TypeWeight)
-	w.f64(o.ObjWeight)
-}
-
-func (r *reader) object() core.Object {
-	var o core.Object
-	o.ID = int(r.i32())
-	o.Type = int(r.i32())
-	o.Loc = r.point()
-	o.TypeWeight = r.f64()
-	o.ObjWeight = r.f64()
-	return o
-}
-
 // WriteShard serialises one shard: the metadata preamble followed by the
 // embedded MOVD stream.
 func WriteShard(dst io.Writer, meta ShardMeta, m *core.MOVD) error {
-	bw := bufio.NewWriterSize(dst, 1<<16)
-	w := &writer{w: bw}
-	if w.err == nil {
-		_, w.err = w.w.WriteString(shardMagic)
-	}
-	w.u16(shardVersion)
-	w.crc = crc32.NewIEEE()
-	w.str(meta.Engine)
-	w.u32(uint32(meta.Shard))
-	w.u32(uint32(meta.NShards))
-	w.i64(meta.Version)
-	w.emit([]byte{meta.Method})
-	w.f64(meta.Epsilon)
-	w.f64(meta.WeightedEpsilon)
-	w.rect(meta.Strip)
-	w.rect(meta.Bounds)
 	if len(meta.TypeNames) != len(meta.Sets) || len(meta.Kinds) != len(meta.Sets) {
 		return fmt.Errorf("store: shard meta type arity mismatch: %d names, %d kinds, %d sets",
 			len(meta.TypeNames), len(meta.Kinds), len(meta.Sets))
 	}
-	w.u32(uint32(len(meta.Sets)))
-	for ti, set := range meta.Sets {
-		w.str(meta.TypeNames[ti])
-		w.emit([]byte{meta.Kinds[ti]})
-		w.u32(uint32(len(set)))
-		for _, o := range set {
-			w.object(o)
-		}
+	w := &writer{w: bufio.NewWriterSize(dst, 1<<16)}
+	if _, err := w.w.WriteString(shardMagic); err != nil {
+		return err
 	}
+	w.u16(shardVersion)
+	w.crc = crc32.NewIEEE()
+	b := appendStr(w.scratch[:0], meta.Engine)
+	b = binary.LittleEndian.AppendUint32(b, uint32(meta.Shard))
+	b = binary.LittleEndian.AppendUint32(b, uint32(meta.NShards))
+	b = binary.LittleEndian.AppendUint64(b, uint64(meta.Version))
+	b = append(b, meta.Method)
+	b = appendF64(b, meta.Epsilon)
+	b = appendF64(b, meta.WeightedEpsilon)
+	b = appendRect(b, meta.Strip)
+	b = appendRect(b, meta.Bounds)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(meta.Sets)))
+	w.emit(b)
+	// One checksum update and one buffered write per object set.
+	for ti, set := range meta.Sets {
+		b = appendStr(b[:0], meta.TypeNames[ti])
+		b = append(b, meta.Kinds[ti])
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(set)))
+		for i := range set {
+			b = appendObject(b, &set[i])
+		}
+		w.emit(b)
+	}
+	w.scratch = b
 	w.i32(int32(meta.Replicas))
 	crc := w.crc.Sum32()
 	w.crc = nil
 	w.u32(crc)
-	if w.err != nil {
-		return w.err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return WriteMOVD(dst, m)
+	return w.movd(m)
 }
 
 // ReadShard deserialises a shard snapshot written by WriteShard, verifying
 // both the metadata checksum and the embedded MOVD's integrity footer.
 func ReadShard(src io.Reader) (ShardMeta, *core.MOVD, error) {
 	var meta ShardMeta
-	br := bufio.NewReaderSize(src, 1<<16)
-	r := &reader{r: br}
+	r := newReader(src, 1<<16, true)
 	mg := make([]byte, 4)
-	if _, err := io.ReadFull(br, mg); err != nil {
+	if _, err := io.ReadFull(r.r, mg); err != nil {
 		return meta, nil, err
 	}
 	if string(mg) != shardMagic {
@@ -209,15 +188,7 @@ func ReadShard(src io.Reader) (ShardMeta, *core.MOVD, error) {
 		if no > maxReasonable {
 			return meta, nil, fmt.Errorf("store: corrupt shard meta (object count %d)", no)
 		}
-		const chunk = 1 << 16
-		set := make([]core.Object, 0, min(no, chunk))
-		for i := uint32(0); i < no; i++ {
-			if r.err != nil {
-				return meta, nil, r.err
-			}
-			set = append(set, r.object())
-		}
-		meta.Sets[ti] = set
+		meta.Sets[ti] = r.objects(r.pois.take(int(min(no, growChunk)))[:0], no)
 	}
 	meta.Replicas = int(r.i32())
 	want := r.crc.Sum32()
@@ -229,9 +200,8 @@ func ReadShard(src io.Reader) (ShardMeta, *core.MOVD, error) {
 	if got != want {
 		return meta, nil, fmt.Errorf("%w: stored %08x, computed %08x", ErrShardChecksum, got, want)
 	}
-	// The MOVD stream continues in the same buffered reader; hand it over
-	// directly so no preamble bytes are re-read from src.
-	m, err := ReadMOVD(br)
+	// The MOVD stream continues in the same buffered reader.
+	m, err := r.movd()
 	if err != nil {
 		return meta, nil, err
 	}

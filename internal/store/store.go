@@ -30,6 +30,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"unsafe"
 
 	"molq/internal/core"
 	"molq/internal/geom"
@@ -51,10 +52,11 @@ var (
 )
 
 type writer struct {
-	w   *bufio.Writer
-	crc hash.Hash32 // non-nil once the header is written
-	err error
-	buf [8]byte
+	w       *bufio.Writer
+	crc     hash.Hash32 // non-nil once the header is written
+	err     error
+	buf     [8]byte
+	scratch []byte // one record's encoding, reused across records
 }
 
 // emit writes raw bytes, folding them into the running checksum when armed.
@@ -83,34 +85,65 @@ func (w *writer) u64(v uint64) {
 	w.emit(w.buf[:8])
 }
 
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) i32(v int32)   { w.u32(uint32(v)) }
-func (w *writer) i64(v int64)   { w.u64(uint64(v)) }
-
-func (w *writer) point(p geom.Point) {
-	w.f64(p.X)
-	w.f64(p.Y)
-}
+func (w *writer) i32(v int32) { w.u32(uint32(v)) }
+func (w *writer) i64(v int64) { w.u64(uint64(v)) }
 
 func (w *writer) rect(r geom.Rect) {
-	w.point(r.Min)
-	w.point(r.Max)
+	w.scratch = appendRect(w.scratch[:0], r)
+	w.emit(w.scratch)
 }
 
+// Encoded sizes of the fixed-width records.
+const (
+	pointSize  = 16 // 2×f64
+	rectSize   = 32 // 4×f64
+	objectSize = 40 // id i32, type i32, loc 2×f64, wt f64, wo f64
+)
+
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendPoint(b []byte, p geom.Point) []byte { return appendF64(appendF64(b, p.X), p.Y) }
+func appendRect(b []byte, r geom.Rect) []byte   { return appendPoint(appendPoint(b, r.Min), r.Max) }
+
+func appendObject(b []byte, o *core.Object) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(int32(o.ID)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(int32(o.Type)))
+	b = appendPoint(b, o.Loc)
+	b = appendF64(b, o.TypeWeight)
+	return appendF64(b, o.ObjWeight)
+}
+
+func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+func getPoint(b []byte) geom.Point { return geom.Point{X: getF64(b), Y: getF64(b[8:])} }
+func getRect(b []byte) geom.Rect   { return geom.Rect{Min: getPoint(b), Max: getPoint(b[16:])} }
+
+func getObject(b []byte) core.Object {
+	return core.Object{
+		ID:         int(int32(binary.LittleEndian.Uint32(b))),
+		Type:       int(int32(binary.LittleEndian.Uint32(b[4:]))),
+		Loc:        getPoint(b[8:]),
+		TypeWeight: getF64(b[24:]),
+		ObjWeight:  getF64(b[32:]),
+	}
+}
+
+// ovr encodes one record into the scratch and emits it with one checksum
+// update and one buffered write.
 func (w *writer) ovr(o *core.OVR) {
-	w.u32(uint32(len(o.Region)))
+	b := binary.LittleEndian.AppendUint32(w.scratch[:0], uint32(len(o.Region)))
 	for _, p := range o.Region {
-		w.point(p)
+		b = appendPoint(b, p)
 	}
-	w.rect(o.MBR)
-	w.u32(uint32(len(o.POIs)))
-	for _, poi := range o.POIs {
-		w.i32(int32(poi.ID))
-		w.i32(int32(poi.Type))
-		w.point(poi.Loc)
-		w.f64(poi.TypeWeight)
-		w.f64(poi.ObjWeight)
+	b = appendRect(b, o.MBR)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(o.POIs)))
+	for i := range o.POIs {
+		b = appendObject(b, &o.POIs[i])
 	}
+	w.scratch = b
+	w.emit(b)
 }
 
 // footer emits the end-of-stream marker, checksum and record count. Must be
@@ -127,12 +160,128 @@ func (w *writer) footer(count int64) {
 	w.i64(count)
 }
 
+// slab carves decoded slices out of shared backing arrays of chunk
+// elements, so a decoded diagram costs a few dozen allocations instead of
+// two per OVR. Carved slices are capped at their length: an append by the
+// holder reallocates instead of overwriting a neighbour. Slices longer than
+// a quarter chunk get their own allocation, as does everything when chunk
+// is 0 (the zero slab allocates per record).
+//
+// A slab aims to retain no more than per-record allocation would, so it
+// keeps a few holes open for short slices: the rest of a chunk that a
+// slice did not fit, and the slack the runtime adds when it rounds a large
+// allocation up to whole pages. trim hands the unused tail of the last
+// chunk back at the end.
+type slab[T any] struct {
+	cur   []T // the chunk being carved; cur[used:] is free
+	used  int
+	holes [maxHoles][]T // free rests of earlier allocations
+	chunk int
+}
+
+const maxHoles = 4
+
+// Allocations above 32 KiB are made in whole 8 KiB pages.
+const (
+	largeAlloc = 32 << 10
+	allocPage  = 8 << 10
+)
+
+func (s *slab[T]) take(n int) []T {
+	switch {
+	case n == 0:
+		return nil // preserve nil-ness: MBRB OVRs carry no region
+	}
+	for i, h := range s.holes {
+		if n <= len(h) {
+			s.holes[i] = h[n:]
+			return h[:n:n]
+		}
+	}
+	switch {
+	case n > s.chunk/4:
+		if s.chunk == 0 {
+			return make([]T, n)
+		}
+		size := int(unsafe.Sizeof(*new(T)))
+		if n*size <= largeAlloc {
+			return make([]T, n)
+		}
+		all := make([]T, (n*size+allocPage-1)/allocPage*allocPage/size)
+		s.keep(all[n:])
+		return all[:n:n]
+	case n > len(s.cur)-s.used:
+		s.keep(s.cur[s.used:])
+		s.cur, s.used = make([]T, s.chunk), 0
+	}
+	out := s.cur[s.used : s.used+n : s.used+n]
+	s.used += n
+	return out
+}
+
+// keep opens rest as a hole in place of the smallest one, if larger.
+func (s *slab[T]) keep(rest []T) {
+	least := 0
+	for i := range s.holes {
+		if len(s.holes[i]) < len(s.holes[least]) {
+			least = i
+		}
+	}
+	if len(rest) > len(s.holes[least]) {
+		s.holes[least] = rest
+	}
+}
+
+// trim moves the slices carved from the last chunk to an array of exactly
+// their total length, so the chunk's unused tail is not retained. slice(i)
+// addresses the i-th of the n slices in the order they were taken.
+func (s *slab[T]) trim(n int, slice func(i int) *[]T) {
+	if s.used == 0 || s.used == len(s.cur) {
+		return
+	}
+	exact := make([]T, s.used)
+	copy(exact, s.cur[:s.used])
+	// The last chunk's slices are the last ones carved: walk back over
+	// them, past any that have their own allocation.
+	end := s.used
+	for i := n - 1; i >= 0 && end > 0; i-- {
+		p := slice(i)
+		if start := end - len(*p); len(*p) > 0 && start >= 0 && &(*p)[0] == &s.cur[start] {
+			*p = exact[start:end:end]
+			end = start
+		}
+	}
+	s.cur, s.used, s.holes = nil, 0, [maxHoles][]T{}
+}
+
+// Slab chunk sizes are Go size classes filled exactly: 16 KiB of points,
+// and 18 KiB of objects, which is 384 of them and so splits evenly into
+// groups of one to four POIs.
+const (
+	slabPoints  = 16 << 10 / unsafe.Sizeof(geom.Point{})
+	slabObjects = 18 << 10 / unsafe.Sizeof(core.Object{})
+)
+
 type reader struct {
 	r       *bufio.Reader
 	crc     hash.Hash32 // non-nil once the header is read
 	lastSum uint32      // checksum snapshot taken before each record
 	err     error
 	buf     [8]byte
+	regions slab[geom.Point]
+	pois    slab[core.Object]
+}
+
+// newReader wraps src in a size-byte buffer. With slabs, decoded Regions
+// and POIs share backing arrays (see slab); without, each record owns its
+// slices.
+func newReader(src io.Reader, size int, slabs bool) *reader {
+	r := &reader{r: bufio.NewReaderSize(src, size)}
+	if slabs {
+		r.regions.chunk = int(slabPoints)
+		r.pois.chunk = int(slabObjects)
+	}
+	return r
 }
 
 // errEndOfStream signals the footer marker was reached.
@@ -163,58 +312,133 @@ func (r *reader) rect() geom.Rect {
 	return geom.Rect{Min: mn, Max: mx}
 }
 
+// peek returns the next n bytes, n at most the buffer size, without
+// consuming them; nil once the reader has failed. The slice aliases the
+// buffer: decode from it, then hand it to consume.
+func (r *reader) peek(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	b, err := r.r.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull reports a short read
+		}
+		r.err = err
+		return nil
+	}
+	return b
+}
+
+// consume folds peeked bytes into the checksum and advances past them.
+func (r *reader) consume(b []byte) {
+	if r.crc != nil {
+		r.crc.Write(b)
+	}
+	r.r.Discard(len(b))
+}
+
+// points appends n decoded points to dst, taking at most one buffer's worth
+// of bytes per read. It is the path for counts too large to peek at once:
+// dst grows by append as the bytes arrive, so an untrusted count costs no
+// allocation beyond the caller's first chunk until the data is really there.
+func (r *reader) points(dst geom.Polygon, n uint32) geom.Polygon {
+	per := uint32(r.r.Size() / pointSize)
+	for n > 0 {
+		k := min(n, per)
+		b := r.peek(int(k) * pointSize)
+		if b == nil {
+			break
+		}
+		for i := 0; i < int(k); i++ {
+			dst = append(dst, getPoint(b[i*pointSize:]))
+		}
+		r.consume(b)
+		n -= k
+	}
+	return dst
+}
+
+// objects is points for objects.
+func (r *reader) objects(dst []core.Object, n uint32) []core.Object {
+	per := uint32(r.r.Size() / objectSize)
+	for n > 0 {
+		k := min(n, per)
+		b := r.peek(int(k) * objectSize)
+		if b == nil {
+			break
+		}
+		for i := 0; i < int(k); i++ {
+			dst = append(dst, getObject(b[i*objectSize:]))
+		}
+		r.consume(b)
+		n -= k
+	}
+	return dst
+}
+
 const maxReasonable = 1 << 28 // decoder sanity cap on counts
 
+// growChunk caps the first allocation made for an untrusted count: a corrupt
+// count on a truncated stream fails at EOF after at most one chunk of
+// waste.
+const growChunk = 1 << 16
+
+// ovr decodes one record in at most two reads when it fits the buffer: the
+// head (vertex count, vertices, MBR and POI count), then the POIs.
 func (r *reader) ovr() (core.OVR, error) {
 	var o core.OVR
 	if r.crc != nil {
 		r.lastSum = r.crc.Sum32()
 	}
-	nv := r.u32()
-	if r.err != nil {
+	b := r.peek(4)
+	if b == nil {
 		return o, r.err
 	}
+	nv := binary.LittleEndian.Uint32(b)
 	if nv == endMarker {
+		r.consume(b)
 		return o, errEndOfStream
 	}
 	if nv > maxReasonable {
 		return o, fmt.Errorf("store: corrupt OVR (vertex count %d)", nv)
 	}
-	// Grow incrementally instead of trusting the declared count with one
-	// huge allocation: a corrupt count on a truncated stream fails at EOF
-	// after at most one chunk of waste.
-	const chunk = 1 << 16
-	for i := uint32(0); i < nv; i++ {
-		if r.err != nil {
+	var np uint32
+	if head := 4 + int(nv)*pointSize + rectSize + 4; head <= r.r.Size() {
+		if b = r.peek(head); b == nil {
 			return o, r.err
 		}
-		if o.Region == nil {
-			o.Region = make(geom.Polygon, 0, min(nv, chunk))
+		o.Region = r.regions.take(int(nv))
+		for i := range o.Region {
+			o.Region[i] = getPoint(b[4+i*pointSize:])
 		}
-		o.Region = append(o.Region, r.point())
-	}
-	o.MBR = r.rect()
-	np := r.u32()
-	if r.err != nil {
-		return o, r.err
+		o.MBR = getRect(b[head-4-rectSize:])
+		np = binary.LittleEndian.Uint32(b[head-4:])
+		r.consume(b)
+	} else {
+		r.consume(b)
+		o.Region = r.points(make(geom.Polygon, 0, min(nv, growChunk)), nv)
+		if b = r.peek(rectSize + 4); b == nil {
+			return o, r.err
+		}
+		o.MBR = getRect(b)
+		np = binary.LittleEndian.Uint32(b[rectSize:])
+		r.consume(b)
 	}
 	if np > maxReasonable {
 		return o, fmt.Errorf("store: corrupt OVR (poi count %d)", np)
 	}
-	for i := uint32(0); i < np; i++ {
-		if r.err != nil {
+	if tail := int(np) * objectSize; tail > r.r.Size() {
+		o.POIs = r.objects(make([]core.Object, 0, min(np, growChunk)), np)
+	} else if np > 0 {
+		if b = r.peek(tail); b == nil {
 			return o, r.err
 		}
-		if o.POIs == nil {
-			o.POIs = make([]core.Object, 0, min(np, chunk))
+		o.POIs = r.pois.take(int(np))
+		for i := range o.POIs {
+			o.POIs[i] = getObject(b[i*objectSize:])
 		}
-		var p core.Object
-		p.ID = int(r.i32())
-		p.Type = int(r.i32())
-		p.Loc = r.point()
-		p.TypeWeight = r.f64()
-		p.ObjWeight = r.f64()
-		o.POIs = append(o.POIs, p)
+		r.consume(b)
 	}
 	return o, r.err
 }
@@ -285,6 +509,11 @@ func readHeader(r *reader) (header, error) {
 // WriteMOVD serialises a complete MOVD.
 func WriteMOVD(dst io.Writer, m *core.MOVD) error {
 	w := &writer{w: bufio.NewWriterSize(dst, 1<<16)}
+	return w.movd(m)
+}
+
+// movd writes m as one complete stream and flushes.
+func (w *writer) movd(m *core.MOVD) error {
 	writeHeader(w, m.Mode, m.Bounds, m.Types, int64(len(m.OVRs)))
 	w.crc = crc32.NewIEEE()
 	for i := range m.OVRs {
@@ -318,7 +547,11 @@ func (r *reader) readFooter(seen int64) error {
 // ReadMOVD deserialises a snapshot written by WriteMOVD or produced by
 // OverlapToFile, verifying the integrity footer.
 func ReadMOVD(src io.Reader) (*core.MOVD, error) {
-	r := &reader{r: bufio.NewReaderSize(src, 1<<16)}
+	return newReader(src, 1<<16, true).movd()
+}
+
+// movd decodes one complete stream, footer included.
+func (r *reader) movd() (*core.MOVD, error) {
 	h, err := readHeader(r)
 	if err != nil {
 		return nil, err
@@ -342,6 +575,8 @@ func ReadMOVD(src io.Reader) (*core.MOVD, error) {
 			if err := r.readFooter(int64(len(m.OVRs))); err != nil {
 				return nil, err
 			}
+			r.regions.trim(len(m.OVRs), func(i int) *[]geom.Point { return (*[]geom.Point)(&m.OVRs[i].Region) })
+			r.pois.trim(len(m.OVRs), func(i int) *[]core.Object { return &m.OVRs[i].POIs })
 			return m, nil
 		}
 		if err != nil {

@@ -238,3 +238,59 @@ func TestEmptyMOVDRoundTrip(t *testing.T) {
 		t.Fatalf("identity round trip: %+v", got)
 	}
 }
+
+// TestRoundTripRecordsPastBuffer covers records larger than the decoder's
+// read buffer (decoded in pieces) and slab-carved records around them: a
+// region of 10,000 vertices, a POI list of 3,000 objects, and small records
+// between and after them. Every decoded slice is capped at its length, so
+// appending to one cannot overwrite its neighbour, and every cut of the
+// stream fails as truncated.
+func TestRoundTripRecordsPastBuffer(t *testing.T) {
+	m := buildMOVD(t, 9, 30, 0, core.RRB)
+	big := core.OVR{MBR: bounds}
+	for i := 0; i < 10000; i++ {
+		big.Region = append(big.Region, geom.Pt(float64(i), float64(i%7)))
+	}
+	for i := 0; i < 3000; i++ {
+		big.POIs = append(big.POIs, core.Object{ID: i, Type: 0, Loc: geom.Pt(float64(i), 1), TypeWeight: 1, ObjWeight: 2})
+	}
+	m.OVRs = append(m.OVRs[:10], append([]core.OVR{big}, m.OVRs[10:]...)...)
+	var buf bytes.Buffer
+	if err := WriteMOVD(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	got, err := ReadMOVD(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !movdEqual(m, got) {
+		t.Fatal("round trip lost data")
+	}
+	for i := range got.OVRs {
+		o := &got.OVRs[i]
+		if cap(o.Region) != len(o.Region) || cap(o.POIs) != len(o.POIs) {
+			t.Fatalf("OVR %d: region %d/%d, POIs %d/%d (len/cap)", i,
+				len(o.Region), cap(o.Region), len(o.POIs), cap(o.POIs))
+		}
+	}
+	path := filepath.Join(t.TempDir(), "big.movd")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var seen []core.OVR
+	if err := IterateOVRs(path, func(o *core.OVR) error {
+		seen = append(seen, *o)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !movdEqual(m, &core.MOVD{Mode: m.Mode, Bounds: m.Bounds, Types: m.Types, OVRs: seen}) {
+		t.Fatal("iterated OVRs differ from the written ones")
+	}
+	for _, cut := range []int{len(raw) / 3, 2 * len(raw) / 3, len(raw) - 13} {
+		if _, err := ReadMOVD(bytes.NewReader(raw[:cut])); err != ErrTruncated {
+			t.Fatalf("cut at %d of %d: %v, want ErrTruncated", cut, len(raw), err)
+		}
+	}
+}

@@ -369,13 +369,17 @@ func (t *triangulation) deleteVertex(pi, start int32) error {
 	return nil
 }
 
-// icTol returns the cocircularity tie tolerance for an InCircle determinant
-// over the four given points: the determinant scales with the fourth power of
-// the coordinate magnitude, so the threshold must as well.
-func icTol(pts ...geom.Point) float64 {
+// icTol returns the cocircularity tie tolerance for the determinant
+// geom.InCircle(a, b, c, d). The determinant multiplies the coordinates
+// translated by d, so the threshold scales with the fourth power of their
+// magnitude — the size of the hole or triangle, not its distance from the
+// origin. Scaled by absolute coordinates, it would accept ears whose
+// circumcircle strictly contains another vertex wherever the data sits far
+// from the origin.
+func icTol(a, b, c, d geom.Point) float64 {
 	m := 1.0
-	for _, p := range pts {
-		m = math.Max(m, math.Max(math.Abs(p.X), math.Abs(p.Y)))
+	for _, p := range [3]geom.Point{a, b, c} {
+		m = math.Max(m, math.Max(math.Abs(p.X-d.X), math.Abs(p.Y-d.Y)))
 	}
 	m2 := m * m
 	return 1e-10 * m2 * m2

@@ -386,3 +386,33 @@ func TestDynamicGrid(t *testing.T) {
 		checkAgainstCompute(t, d, 1e-6)
 	}
 }
+
+// TestDynamicDeleteFarFromOrigin deletes most of a dense cluster of sites
+// whose coordinates are in the tens of thousands while the cluster itself
+// is small. The hole retriangulation's cocircularity tolerance must scale
+// with the hole, not with the absolute coordinates: scaled by the latter it
+// accepts ears whose circumcircle strictly contains another vertex, so the
+// repaired cells drift from a rebuild, or a later hole has no valid ear.
+func TestDynamicDeleteFarFromOrigin(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bounds := geom.Rect{Min: geom.Point{X: 0, Y: 0}, Max: geom.Point{X: 20000, Y: 20000}}
+	sites := make([]geom.Point, 400)
+	for i := range sites {
+		sites[i] = geom.Point{X: 15000 + rng.Float64()*300, Y: 15000 + rng.Float64()*300}
+	}
+	d, err := NewDynamic(sites, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for op := 0; d.Len() > 20; op++ {
+		slots, _ := liveSites(d)
+		if _, err := d.Delete(slots[rng.Intn(len(slots))]); err != nil {
+			t.Fatalf("delete %d: %v", op, err)
+		}
+		if op%10 == 0 {
+			checkAgainstCompute(t, d, 1e-6)
+		}
+	}
+	checkStructure(t, d)
+	checkAgainstCompute(t, d, 1e-6)
+}
