@@ -82,7 +82,7 @@ func IterateOVRs(path string, fn func(*core.OVR) error) error {
 		return err
 	}
 	defer f.Close()
-	r := &reader{r: bufio.NewReaderSize(f, 1<<20)}
+	r := newReader(f, 1<<20, false)
 	if _, err := readHeader(r); err != nil {
 		return err
 	}

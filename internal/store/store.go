@@ -18,6 +18,18 @@
 //
 // The footer makes truncation and bit-rot detectable even for spill files
 // whose OVR count was unknown at write time.
+//
+// The codec works per record, not per field: the writer encodes a whole OVR
+// into a scratch buffer and emits it with one checksum update, and the
+// reader decodes each OVR from at most two buffered spans.
+//
+// Decode aliasing: ReadMOVD and ReadShard carve the Regions and POIs of
+// many OVRs (and the shard meta's object sets) out of shared backing arrays
+// (see slab). Every carved slice is capped at its own length, so appending
+// to one reallocates and writing within one touches only its own elements;
+// but one retained OVR keeps its whole backing array alive. IterateOVRs
+// allocates each record's slices separately, so a callback may keep an OVR
+// without pinning anything else.
 package store
 
 import (
@@ -188,8 +200,7 @@ const (
 )
 
 func (s *slab[T]) take(n int) []T {
-	switch {
-	case n == 0:
+	if n == 0 {
 		return nil // preserve nil-ness: MBRB OVRs carry no region
 	}
 	for i, h := range s.holes {
@@ -198,25 +209,28 @@ func (s *slab[T]) take(n int) []T {
 			return h[:n:n]
 		}
 	}
-	switch {
-	case n > s.chunk/4:
-		if s.chunk == 0 {
-			return make([]T, n)
-		}
-		size := int(unsafe.Sizeof(*new(T)))
-		if n*size <= largeAlloc {
-			return make([]T, n)
-		}
-		all := make([]T, (n*size+allocPage-1)/allocPage*allocPage/size)
-		s.keep(all[n:])
-		return all[:n:n]
-	case n > len(s.cur)-s.used:
+	if n > s.chunk/4 {
+		return s.own(n)
+	}
+	if n > len(s.cur)-s.used {
 		s.keep(s.cur[s.used:])
 		s.cur, s.used = make([]T, s.chunk), 0
 	}
 	out := s.cur[s.used : s.used+n : s.used+n]
 	s.used += n
 	return out
+}
+
+// own allocates n elements of their own. The runtime makes a large
+// allocation in whole pages; a slab keeps the slack as a hole.
+func (s *slab[T]) own(n int) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	if s.chunk == 0 || n*size <= largeAlloc {
+		return make([]T, n)
+	}
+	all := make([]T, (n*size+allocPage-1)/allocPage*allocPage/size)
+	s.keep(all[n:])
+	return all[:n:n]
 }
 
 // keep opens rest as a hole in place of the smallest one, if larger.
