@@ -676,8 +676,7 @@ func (w *refiner) cmpBounds(rect geom.Rect, i int32) (lo, hi float64) {
 	// Signed gaps from the site past the cell's min side (l, b) and max
 	// side (r, t). Along x, the nearest point of the cell is max(0, l, r)
 	// away and the farthest corner max(-l, -r) = -min(l, r); one comparison
-	// picks both. Squaring makes the result independent of the sign of a
-	// zero gap, so the bounds are bit-identical to the math.Max forms.
+	// picks both. The sign of a zero gap is squared away.
 	l, r := rect.Min.X-x, x-rect.Max.X
 	nx, fx := r, -l
 	if l > r {
