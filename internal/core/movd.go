@@ -191,17 +191,41 @@ func (m *MOVD) PointsManaged() int {
 // Groups returns the deduplicated object combinations of the MOVD — the
 // Fermat-Weber problems handed to the optimizer. MBRB false positives can
 // repeat a combination across several OVRs; each combination is returned
-// once.
+// once, in order of first occurrence.
+//
+// Duplicates are found without building a key per OVR: an open-addressing
+// table holds each kept group's combination hash and OVR index, and a hash
+// match is confirmed by comparing the two groups' (Type, ID) sequences, so
+// a collision costs a probe, never a lost group.
 func (m *MOVD) Groups() [][]Object {
-	seen := make(map[string]struct{}, len(m.OVRs))
-	var out [][]Object
+	if len(m.OVRs) == 0 {
+		return nil
+	}
+	type entry struct {
+		hash uint64
+		ovr  int32 // OVR index + 1; 0 marks an empty slot
+	}
+	size := 16
+	for size < len(m.OVRs)+len(m.OVRs)/2 {
+		size <<= 1
+	}
+	table := make([]entry, size)
+	mask := uint64(size - 1)
+	out := make([][]Object, 0, len(m.OVRs))
 	for i := range m.OVRs {
-		k := m.OVRs[i].DedupKey()
-		if _, dup := seen[k]; dup {
-			continue
+		pois := m.OVRs[i].POIs
+		h := combinationHash(pois)
+		for slot := h & mask; ; slot = (slot + 1) & mask {
+			e := &table[slot]
+			if e.ovr == 0 {
+				*e = entry{hash: h, ovr: int32(i + 1)}
+				out = append(out, pois)
+				break
+			}
+			if e.hash == h && sameCombination(m.OVRs[e.ovr-1].POIs, pois) {
+				break // duplicate of an earlier group
+			}
 		}
-		seen[k] = struct{}{}
-		out = append(out, m.OVRs[i].POIs)
 	}
 	return out
 }

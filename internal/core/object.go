@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"molq/internal/geom"
@@ -126,6 +127,19 @@ type tidPair struct{ t, id int }
 // formatting and sort.Slice closure are an order of magnitude slower.
 func CombinationDedupKey(group []Object) string {
 	var stack [8]tidPair
+	g := sortedPairs(&stack, group)
+	buf := make([]byte, 0, 16*len(g))
+	for i := range g {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(g[i].t))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(g[i].id))
+	}
+	return string(buf)
+}
+
+// sortedPairs returns group's (Type, ID) pairs in ascending order — the
+// canonical form both CombinationDedupKey and Groups compare — in stack when
+// the group fits.
+func sortedPairs(stack *[8]tidPair, group []Object) []tidPair {
 	var g []tidPair
 	if len(group) <= len(stack) {
 		g = stack[:0]
@@ -142,10 +156,32 @@ func CombinationDedupKey(group []Object) string {
 			g[j], g[j-1] = g[j-1], g[j]
 		}
 	}
-	buf := make([]byte, 0, 16*len(g))
-	for i := range g {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(g[i].t))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(g[i].id))
+	return g
+}
+
+// combinationHash digests a group's canonical (Type, ID) sequence, so two
+// groups with equal CombinationDedupKey hash equal.
+func combinationHash(group []Object) uint64 {
+	var stack [8]tidPair
+	h := uint64(len(group))
+	for _, p := range sortedPairs(&stack, group) {
+		h = (h ^ uint64(p.t)) * 0x100000001b3
+		h = (h ^ uint64(p.id)) * 0x9e3779b97f4a7c15
 	}
-	return string(buf)
+	// splitmix64 finaliser: spread the bits over the table index.
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// sameCombination reports whether two groups have the same canonical
+// (Type, ID) sequence, i.e. equal CombinationDedupKey.
+func sameCombination(a, b []Object) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	var sa, sb [8]tidPair
+	return slices.Equal(sortedPairs(&sa, a), sortedPairs(&sb, b))
 }

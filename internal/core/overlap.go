@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -97,6 +98,64 @@ type event struct {
 	idx  int32 // OVR index within its operand
 }
 
+// sortEvents puts events, which arrive ordered by (kind, side, idx), into
+// the sweep order: descending y, and at equal y starts before ends (so
+// regions touching along a horizontal line are still paired; their
+// intersection is degenerate and RRB drops it), then side, then index. It is
+// a stable LSD radix sort on an order-preserving 64-bit image of y, one
+// byte per pass, skipping bytes every key shares; stability carries the
+// arrival order through ties. -0 is keyed as +0 because the two compare
+// equal. It returns the sorted events, which may live in either of the
+// scratch's event buffers.
+func (sc *sweepScratch) sortEvents(events []event) []event {
+	n := len(events)
+	keys := slices.Grow(sc.keys[:0], n)[:n]
+	var counts [8][256]int32
+	for i := range events {
+		y := events[i].y
+		if y == 0 {
+			y = 0 // -0 → +0
+		}
+		b := math.Float64bits(y)
+		if b>>63 != 0 {
+			b = ^b
+		} else {
+			b |= 1 << 63
+		}
+		b = ^b // descending
+		keys[i] = b
+		for d := range 8 {
+			counts[d][byte(b>>(8*d))]++
+		}
+	}
+	tmp := slices.Grow(sc.tmpEvents[:0], n)[:n]
+	tmpKeys := slices.Grow(sc.tmpKeys[:0], n)[:n]
+	for d := range 8 {
+		c := &counts[d]
+		shift := 8 * d
+		if n == 0 || c[byte(keys[0]>>shift)] == int32(n) {
+			continue // every key shares this byte
+		}
+		var off [256]int32
+		sum := int32(0)
+		for v := range c {
+			off[v] = sum
+			sum += c[v]
+		}
+		for i, k := range keys {
+			v := byte(k >> shift)
+			tmp[off[v]] = events[i]
+			tmpKeys[off[v]] = k
+			off[v]++
+		}
+		events, tmp = tmp, events
+		keys, tmpKeys = tmpKeys, keys
+	}
+	sc.events, sc.tmpEvents = events, tmp
+	sc.keys, sc.tmpKeys = keys, tmpKeys
+	return events
+}
+
 // OverlapStream runs the ⊕ plane sweep emitting each surviving OVR through
 // emit instead of materialising the result MOVD — the disk-based pipeline
 // (Sec 8 future work) spills the emitted OVRs straight to a file so the
@@ -134,6 +193,9 @@ func checkOperands(a, b *MOVD) error {
 type sweepScratch struct {
 	clip   polyclip.ClipBuf
 	events []event
+	// sortEvents' radix keys and ping-pong buffers
+	keys, tmpKeys []uint64
+	tmpEvents     []event
 	status [2]activeSet
 	pois   []Object
 	flats  [2]flatMBRs
@@ -186,43 +248,27 @@ func sweep(a, b *MOVD, fa, fb *flatMBRs, subA, subB []int32, own func(topY float
 	if cap(events) < 2*n {
 		events = make([]event, 0, 2*n)
 	}
-	for side := range operands {
-		f := flats[side]
-		add := func(i int32) {
-			events = append(events,
-				event{y: f.maxY[i], kind: 0, side: uint8(side), idx: i},
-				event{y: f.minY[i], kind: 1, side: uint8(side), idx: i},
-			)
-		}
-		if sub := subsets[side]; sub != nil {
-			for _, i := range sub {
-				add(i)
+	// Generate the events already ordered by (kind, side, idx) — subsets
+	// are ascending — so the stable sort on y below yields the total order.
+	for kind := range uint8(2) {
+		for side := range operands {
+			f := flats[side]
+			ys := f.maxY
+			if kind == 1 {
+				ys = f.minY
 			}
-		} else {
-			for i := range operands[side].OVRs {
-				add(int32(i))
+			if sub := subsets[side]; sub != nil {
+				for _, i := range sub {
+					events = append(events, event{y: ys[i], kind: kind, side: uint8(side), idx: i})
+				}
+			} else {
+				for i := range operands[side].OVRs {
+					events = append(events, event{y: ys[i], kind: kind, side: uint8(side), idx: int32(i)})
+				}
 			}
 		}
 	}
-	// Descending y; at equal y, starts precede ends so regions touching
-	// along a horizontal line are still paired (their intersection is
-	// degenerate and RRB drops it).
-	slices.SortFunc(events, func(ei, ej event) int {
-		switch {
-		case ei.y > ej.y:
-			return -1
-		case ei.y < ej.y:
-			return 1
-		}
-		if ei.kind != ej.kind {
-			return int(ei.kind) - int(ej.kind)
-		}
-		if ei.side != ej.side {
-			return int(ei.side) - int(ej.side)
-		}
-		return int(ei.idx) - int(ej.idx)
-	})
-	scratch.events = events // keep the (possibly grown) buffer for reuse
+	events = scratch.sortEvents(events)
 	status := &scratch.status
 	var emitErr error
 	// One reusable emission record for the whole sweep: emit receives its
@@ -267,7 +313,7 @@ func sweep(a, b *MOVD, fa, fb *flatMBRs, subA, subB []int32, own func(topY float
 				if f.area[i] <= polyclip.MinArea || of.area[j] <= polyclip.MinArea {
 					continue
 				}
-				region := polyclip.ConvexIntersectTrustedBuf(&scratch.clip, ovr.Region, otherMOVD.OVRs[j].Region)
+				region := polyclip.ConvexIntersectTrustedBuf(&scratch.clip, ovr.Region, otherMOVD.OVRs[j].Region, f.area[i], of.area[j])
 				if region == nil {
 					continue
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"molq/internal/geom"
@@ -102,11 +101,14 @@ func overlapPair(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span) (*MOV
 	workers = min(workers, runtime.GOMAXPROCS(0))
 	if workers <= 1 || a.Bounds.Height() <= 0 || len(a.OVRs) == 0 || len(b.OVRs) == 0 {
 		var arena ovrArena
+		col := ovrCollectorPool.Get().(*ovrCollector)
 		// sweep fails only when emit does, and this emit cannot.
 		_ = sweep(a, b, nil, nil, nil, nil, nil, prune, &total, func(o *OVR) error {
-			result.OVRs = append(result.OVRs, arena.clone(o))
+			col.ovrs = append(col.ovrs, arena.clone(o))
 			return nil
 		})
+		result.OVRs = col.take()
+		ovrCollectorPool.Put(col)
 		recordSweep(total)
 		if span != nil {
 			sp := span.Child("sweep")
@@ -122,12 +124,12 @@ func overlapPair(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span) (*MOV
 	subA := strips.assignFlat(fa.minY, fa.maxY)
 	subB := strips.assignFlat(fb.minY, fb.maxY)
 
-	bufs := make([][]OVR, strips.k)
+	cols := make([]*ovrCollector, strips.k)
 	var (
 		mu sync.Mutex // guards total
 		wg sync.WaitGroup
 	)
-	for si := range bufs {
+	for si := range cols {
 		if len(subA[si]) == 0 || len(subB[si]) == 0 {
 			continue
 		}
@@ -144,17 +146,14 @@ func overlapPair(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span) (*MOV
 			if span != nil {
 				stripSpan = span.Child(fmt.Sprintf("strip %d", si))
 			}
-			// ⊕ output is proportional to its input (each OVR gains a bounded
-			// number of partners); seeding capacity at the input size skips
-			// the small early doublings of the append ramp.
-			buf := make([]OVR, 0, len(subA[si])+len(subB[si]))
+			col := ovrCollectorPool.Get().(*ovrCollector)
 			var arena ovrArena
 			var local OverlapStats
 			_ = sweep(a, b, &fa, &fb, subA[si], subB[si], own, prune, &local, func(o *OVR) error {
-				buf = append(buf, arena.clone(o))
+				col.ovrs = append(col.ovrs, arena.clone(o))
 				return nil
 			})
-			bufs[si] = buf
+			cols[si] = col
 			recordSweep(local)
 			setSweepAttrs(stripSpan, local)
 			stripSpan.End()
@@ -164,7 +163,22 @@ func overlapPair(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span) (*MOV
 		}()
 	}
 	wg.Wait()
-	result.OVRs = slices.Concat(bufs...)
+	n := 0
+	for _, col := range cols {
+		if col != nil {
+			n += len(col.ovrs)
+		}
+	}
+	if n > 0 {
+		result.OVRs = make([]OVR, 0, n)
+	}
+	for _, col := range cols {
+		if col != nil {
+			result.OVRs = append(result.OVRs, col.ovrs...)
+			col.reset()
+			ovrCollectorPool.Put(col)
+		}
+	}
 	return result, total, nil
 }
 

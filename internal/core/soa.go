@@ -1,6 +1,10 @@
 package core
 
-import "molq/internal/geom"
+import (
+	"sync"
+
+	"molq/internal/geom"
+)
 
 // This file holds the structure-of-arrays mirror of the sweep's hot data.
 // The plane sweep of Algorithm 2 touches every OVR's MBR many times — once
@@ -157,4 +161,33 @@ func (ar *ovrArena) clone(o *OVR) OVR {
 		c.POIs = ar.objs[s:len(ar.objs):len(ar.objs)]
 	}
 	return c
+}
+
+// ovrCollector gathers one sweep's cloned OVRs before they are copied into
+// a result of exactly the emitted size. Appending straight into the result
+// grew it by doubling, and every doubling of a pointerful slice zeroes and
+// copies the whole prefix again; the pooled collector has reached the
+// working-set size after a few sweeps, so a materialised ⊕ pays one zeroed
+// allocation and one copy.
+type ovrCollector struct{ ovrs []OVR }
+
+var ovrCollectorPool = sync.Pool{New: func() any { return new(ovrCollector) }}
+
+// take returns a copy of the collected OVRs sized to fit (nil when none were
+// collected, as appending to a nil result left it) and resets the collector.
+func (c *ovrCollector) take() []OVR {
+	var out []OVR
+	if len(c.ovrs) > 0 {
+		out = make([]OVR, len(c.ovrs))
+		copy(out, c.ovrs)
+	}
+	c.reset()
+	return out
+}
+
+// reset drops the collected OVRs, clearing them so a pooled collector does
+// not keep their regions and POIs reachable.
+func (c *ovrCollector) reset() {
+	clear(c.ovrs)
+	c.ovrs = c.ovrs[:0]
 }

@@ -34,10 +34,11 @@ func (pg Polygon) SignedArea() float64 {
 		return 0
 	}
 	sum := 0.0
-	for i, p := range pg {
-		q := pg[(i+1)%len(pg)]
-		sum += p.Cross(q)
+	last := len(pg) - 1
+	for i := 0; i < last; i++ {
+		sum += pg[i].Cross(pg[i+1])
 	}
+	sum += pg[last].Cross(pg[0])
 	return sum / 2
 }
 

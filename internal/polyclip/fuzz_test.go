@@ -89,7 +89,7 @@ func FuzzConvexIntersectDifferential(f *testing.F) {
 		// Kernel differential: when ONM accepts, it must agree with the
 		// cascade on area and vertex set.
 		if len(p) >= onmMinVerts && len(q) >= onmMinVerts {
-			if onm, ok := convexIntersectONM(&onmBuf, p, q); ok {
+			if onm, ok := runONM(&onmBuf, p, q); ok {
 				onmArea := 0.0
 				if onm != nil {
 					onmArea = onm.Area()

@@ -31,12 +31,17 @@ const onmMinVerts = 5
 const onmGuard = 1e-7
 
 // convexIntersectONM intersects two convex counterclockwise polygons in
-// O(n+m), writing the result into buf.out. ok=false means the kernel
-// declined (a predicate fell inside its guard band, an edge was degenerate,
-// or the boundaries never properly crossed) and the caller must use the
-// halfplane cascade; ok=true with a nil polygon means a decisively empty
-// (zero-area) intersection.
-func convexIntersectONM(buf *ClipBuf, p, q geom.Polygon) (geom.Polygon, bool) {
+// O(n+m), writing the result into buf.out. areaP and areaQ are the operands'
+// Area(), which callers have at hand; they only feed the closing sanity
+// bound. ok=false means the kernel declined (a predicate fell inside its
+// guard band, an edge was degenerate, or the boundaries never properly
+// crossed) and the caller must use the halfplane cascade; ok=true with a nil
+// polygon means a decisively empty (zero-area) intersection.
+//
+// Each step advances exactly one edge, so the loop carries both current
+// edges — endpoints, direction and length — forward and recomputes only the
+// one that moved, wrapping its index with a compare.
+func convexIntersectONM(buf *ClipBuf, p, q geom.Polygon, areaP, areaQ float64) (geom.Polygon, bool) {
 	n, m := len(p), len(q)
 	out := buf.out[:0]
 	defer func() { buf.out = out[:cap(out)][:0] }()
@@ -49,19 +54,17 @@ func convexIntersectONM(buf *ClipBuf, p, q geom.Polygon) (geom.Polygon, bool) {
 	inflag := unknown
 	a, b := 0, 0 // current edge = predecessor vertex → vertex a (resp. b)
 	aAdv, bAdv := 0, 0
+	pa0, pa1 := p[n-1], p[0]
+	qb0, qb1 := q[m-1], q[0]
+	ae := pa1.Sub(pa0)
+	be := qb1.Sub(qb0)
+	// Sqrt(Dot) instead of Norm (math.Hypot): the coordinates are search
+	// space scaled, so Hypot's overflow guard is pure overhead — and the
+	// lengths only size fuzzy guard bands, which an ulp cannot flip
+	// meaningfully (anything near a band falls back to the exact cascade).
+	lenA := math.Sqrt(ae.Dot(ae))
+	lenB := math.Sqrt(be.Dot(be))
 	for aAdv <= 2*n && bAdv <= 2*m {
-		a1 := (a + n - 1) % n
-		b1 := (b + m - 1) % m
-		pa0, pa1 := p[a1], p[a]
-		qb0, qb1 := q[b1], q[b]
-		ae := pa1.Sub(pa0)
-		be := qb1.Sub(qb0)
-		// Sqrt(Dot) instead of Norm (math.Hypot): the coordinates are search
-		// space scaled, so Hypot's overflow guard is pure overhead — and the
-		// lengths only size fuzzy guard bands, which an ulp cannot flip
-		// meaningfully (anything near a band falls back to the exact cascade).
-		lenA := math.Sqrt(ae.Dot(ae))
-		lenB := math.Sqrt(be.Dot(be))
 		if lenA < clipEps || lenB < clipEps {
 			return nil, false // degenerate edge: undefined direction
 		}
@@ -98,34 +101,34 @@ func convexIntersectONM(buf *ClipBuf, p, q geom.Polygon) (geom.Polygon, bool) {
 		}
 		// Advance rule: move the edge whose head cannot yet see the other
 		// edge's progress, emitting inner-chain vertices as they are passed.
+		var advanceA bool
 		if cross >= 0 {
-			if bHA > 0 {
-				if inflag == pIn {
-					out = append(out, pa1)
-				}
-				a = (a + 1) % n
-				aAdv++
-			} else {
-				if inflag == qIn {
-					out = append(out, qb1)
-				}
-				b = (b + 1) % m
-				bAdv++
-			}
+			advanceA = bHA > 0
 		} else {
-			if aHB > 0 {
-				if inflag == qIn {
-					out = append(out, qb1)
-				}
-				b = (b + 1) % m
-				bAdv++
-			} else {
-				if inflag == pIn {
-					out = append(out, pa1)
-				}
-				a = (a + 1) % n
-				aAdv++
+			advanceA = !(aHB > 0)
+		}
+		if advanceA {
+			if inflag == pIn {
+				out = append(out, pa1)
 			}
+			if a++; a == n {
+				a = 0
+			}
+			aAdv++
+			pa0, pa1 = pa1, p[a]
+			ae = pa1.Sub(pa0)
+			lenA = math.Sqrt(ae.Dot(ae))
+		} else {
+			if inflag == qIn {
+				out = append(out, qb1)
+			}
+			if b++; b == m {
+				b = 0
+			}
+			bAdv++
+			qb0, qb1 = qb1, q[b]
+			be = qb1.Sub(qb0)
+			lenB = math.Sqrt(be.Dot(be))
 		}
 		if inflag != unknown && aAdv >= n && bAdv >= m {
 			break // both boundaries wrapped past the first crossing: closed
@@ -159,13 +162,17 @@ func convexIntersectONM(buf *ClipBuf, p, q geom.Polygon) (geom.Polygon, bool) {
 	}
 	res := dedupInPlace(out)
 	out = res
-	if res.IsEmpty() || res.Area() <= clipEps {
+	if res.IsEmpty() {
+		return nil, true
+	}
+	area := res.Area()
+	if area <= clipEps {
 		return nil, true
 	}
 	// Sanity bound: the intersection can never out-measure an operand. A
 	// violation means the advance state was silently corrupted — decline.
-	limit := math.Min(p.Area(), q.Area())
-	if res.Area() > limit*(1+1e-9)+clipEps {
+	limit := math.Min(areaP, areaQ)
+	if area > limit*(1+1e-9)+clipEps {
 		return nil, false
 	}
 	return res, true

@@ -155,7 +155,7 @@ func TestONMDifferential(t *testing.T) {
 		if p.Area() <= clipEps || q.Area() <= clipEps {
 			continue
 		}
-		onm, ok := convexIntersectONM(&bufA, p, q)
+		onm, ok := runONM(&bufA, p, q)
 		if !ok {
 			declined++
 			continue
@@ -203,21 +203,21 @@ func TestONMFallbackCases(t *testing.T) {
 	// Containment with exactly parallel edge pairs (same-phase concentric
 	// hexagons): the near-parallel guard fires before any epilogue and the
 	// kernel must decline — the cascade resolves it exactly.
-	if out, ok := convexIntersectONM(&buf, hex(0, 0, 10), hex(0, 0, 2)); ok {
+	if out, ok := runONM(&buf, hex(0, 0, 10), hex(0, 0, 2)); ok {
 		t.Fatalf("parallel-edge containment accepted by ONM kernel: %v", out)
 	}
 	// Containment in general position (inner hexagon rotated so no edge
 	// pair is parallel): no crossings; the guarded seed-vertex epilogue
 	// must decide it and return the inner polygon.
 	inner := hexAt(0, 0, 2, 0.25)
-	if out, ok := convexIntersectONM(&buf, hex(0, 0, 10), inner); !ok {
+	if out, ok := runONM(&buf, hex(0, 0, 10), inner); !ok {
 		t.Fatalf("containment declined by ONM kernel")
 	} else if math.Abs(out.Area()-inner.Area()) > 1e-9 {
 		t.Fatalf("containment via ONM kernel: area %v", out.Area())
 	}
 	// Disjoint in general position: no crossings and both seeds decisively
 	// outside — the epilogue must decide emptiness without the cascade.
-	if out, ok := convexIntersectONM(&buf, hex(0, 0, 1), hexAt(100, 0, 1, 0.25)); !ok || out != nil {
+	if out, ok := runONM(&buf, hex(0, 0, 1), hexAt(100, 0, 1, 0.25)); !ok || out != nil {
 		t.Fatalf("disjoint not decided by ONM kernel: out=%v ok=%v", out, ok)
 	}
 	// Whatever the kernel does on these, the public entry point must be
@@ -242,4 +242,9 @@ func TestONMFallbackCases(t *testing.T) {
 	if math.Abs(got.Area()-wantArea) > 1e-9 {
 		t.Fatalf("shared-edge case: got area %v, want %v", got.Area(), wantArea)
 	}
+}
+
+// runONM runs the O(n+m) kernel with the operand areas its callers pass.
+func runONM(buf *ClipBuf, p, q geom.Polygon) (geom.Polygon, bool) {
+	return convexIntersectONM(buf, p, q, p.Area(), q.Area())
 }

@@ -79,20 +79,23 @@ func ConvexIntersectBuf(buf *ClipBuf, subject, clip geom.Polygon) geom.Polygon {
 	// positive-area intersection, and its zero-length edges would otherwise
 	// be skipped by the halfplane clipper, leaving the subject
 	// under-constrained.
-	if subject.Area() <= clipEps || clip.Area() <= clipEps {
+	subjectArea, clipArea := subject.Area(), clip.Area()
+	if subjectArea <= clipEps || clipArea <= clipEps {
 		return nil
 	}
-	return ConvexIntersectTrustedBuf(buf, subject, clip)
+	return ConvexIntersectTrustedBuf(buf, subject, clip, subjectArea, clipArea)
 }
 
 // ConvexIntersectTrustedBuf is ConvexIntersectBuf minus the operand checks:
-// the caller guarantees both polygons are non-empty with Area() > MinArea.
-// The ⊕ sweep intersects the same regions against many partners and caches
-// each region's area in its flat layout, so screening there turns two full
-// vertex scans per candidate pair into two float comparisons.
-func ConvexIntersectTrustedBuf(buf *ClipBuf, subject, clip geom.Polygon) geom.Polygon {
+// the caller guarantees both polygons are non-empty with Area() > MinArea,
+// and passes those areas as subjectArea and clipArea (exactly Area(), since
+// the O(n+m) kernel's sanity bound reads them). The ⊕ sweep intersects the
+// same regions against many partners and caches each region's area in its
+// flat layout, so screening there turns two full vertex scans per candidate
+// pair into two float comparisons, and the kernel rescans neither operand.
+func ConvexIntersectTrustedBuf(buf *ClipBuf, subject, clip geom.Polygon, subjectArea, clipArea float64) geom.Polygon {
 	if len(subject) >= onmMinVerts && len(clip) >= onmMinVerts {
-		if out, ok := convexIntersectONM(buf, subject, clip); ok {
+		if out, ok := convexIntersectONM(buf, subject, clip, subjectArea, clipArea); ok {
 			return out
 		}
 	}
@@ -141,9 +144,33 @@ func ClipToRect(subject geom.Polygon, r geom.Rect) geom.Polygon {
 
 // ClipToRectBuf is ClipToRect writing into buf's scratch storage; the result
 // aliases buf and is valid only until buf's next use.
+//
+// A subject lying inside the closed rectangle skips the cascade: against an
+// axis-aligned edge Orient is one exact-signed product, so every vertex
+// classifies inside, each of the four halfplane passes copies the polygon
+// through unchanged, and copying it once gives the same result. Most Voronoi
+// cells lie inside the search space, so this is Compute's common case.
 func ClipToRectBuf(buf *ClipBuf, subject geom.Polygon, r geom.Rect) geom.Polygon {
 	buf.rect = r.Corners()
-	return ConvexIntersectBuf(buf, subject, buf.rect[:])
+	clip := geom.Polygon(buf.rect[:])
+	if subject.IsEmpty() {
+		return nil
+	}
+	subjectArea, clipArea := subject.Area(), clip.Area()
+	if subjectArea <= clipEps || clipArea <= clipEps {
+		return nil
+	}
+	for _, p := range subject {
+		if p.X < r.Min.X || p.X > r.Max.X || p.Y < r.Min.Y || p.Y > r.Max.Y {
+			return ConvexIntersectTrustedBuf(buf, subject, clip, subjectArea, clipArea)
+		}
+	}
+	out := dedupInPlace(append(buf.a[:0], subject...))
+	buf.a = out
+	if out.IsEmpty() || out.Area() <= clipEps {
+		return nil
+	}
+	return out
 }
 
 // ClipHalfplane clips a convex polygon against the closed halfplane to the

@@ -39,6 +39,12 @@ type triangulation struct {
 	badMark  []uint32
 	curEpoch uint32
 	stack    []int32
+	edges    []cavityEdge
+	// wire[v] links cavity-boundary vertex v to the new triangles built on
+	// the boundary edges starting (first) and ending (last) at v during the
+	// insert whose epoch it carries; an entry from an older insert is stale
+	// and reads as triangle 0.
+	wire []cavityWire
 	// newTris records the triangles created by the most recent insert or
 	// deleteVertex, so incremental maintainers (Dynamic) can repair their
 	// vertex→triangle index without rescanning the whole triangulation.
@@ -150,6 +156,22 @@ type cavityEdge struct {
 	outer int32 // triangle outside the cavity across (a, b), or -1
 }
 
+// cavityWire is one vertex's slot in triangulation.wire.
+type cavityWire struct {
+	epoch       uint32
+	first, last int32
+}
+
+// wireSlot returns vertex v's wire slot for the insert tagged epoch,
+// clearing it when it still holds an older insert's links.
+func (t *triangulation) wireSlot(v int32, epoch uint32) *cavityWire {
+	w := &t.wire[v]
+	if w.epoch != epoch {
+		*w = cavityWire{epoch: epoch}
+	}
+	return w
+}
+
 // insert adds point p as vertex index pi (already appended to t.pts).
 func (t *triangulation) insert(pi int32) error {
 	p := t.pts[pi]
@@ -184,7 +206,7 @@ func (t *triangulation) insert(pi int32) error {
 		}
 	}
 	// Collect the cavity boundary (directed CCW).
-	var edges []cavityEdge
+	edges := t.edges[:0]
 	for _, bi := range t.badList {
 		tr := &t.tris[bi]
 		for i := 0; i < 3; i++ {
@@ -199,6 +221,7 @@ func (t *triangulation) insert(pi int32) error {
 			})
 		}
 	}
+	t.edges = edges
 	if len(edges) < 3 {
 		return fmt.Errorf("voronoi: degenerate cavity (%d edges) inserting %v", len(edges), p)
 	}
@@ -208,10 +231,15 @@ func (t *triangulation) insert(pi int32) error {
 		t.free = append(t.free, bi)
 	}
 	// Fan new triangles (pi, a, b) over the boundary edges and wire
-	// adjacency. byFirst maps a boundary edge's first vertex to the new
-	// triangle built on it; around the cavity cycle each vertex appears
-	// exactly once as a first vertex and once as a second vertex.
-	byFirst := make(map[int32]int32, len(edges))
+	// adjacency through the vertex-indexed wire slots: first records the new
+	// triangle built on the boundary edge starting at a vertex, last the one
+	// ending there. Around the cavity cycle each vertex appears exactly once
+	// as a first vertex and once as a second vertex.
+	if len(t.wire) < len(t.pts) {
+		grown := make([]cavityWire, 2*len(t.pts))
+		copy(grown, t.wire)
+		t.wire = grown
+	}
 	t.newTris = t.newTris[:0]
 	for _, e := range edges {
 		nt := t.allocTri(tri{
@@ -220,7 +248,7 @@ func (t *triangulation) insert(pi int32) error {
 			alive: true,
 		})
 		t.newTris = append(t.newTris, nt)
-		byFirst[e.a] = nt
+		t.wireSlot(e.a, epoch).first = nt
 		if e.outer != noTri {
 			out := &t.tris[e.outer]
 			for i := 0; i < 3; i++ {
@@ -231,17 +259,16 @@ func (t *triangulation) insert(pi int32) error {
 			}
 		}
 	}
-	byLast := make(map[int32]int32, len(edges))
 	for k, e := range edges {
-		byLast[e.b] = t.newTris[k]
+		t.wireSlot(e.b, epoch).last = t.newTris[k]
 	}
 	for k, e := range edges {
 		// Edge (b, pi) is opposite v[1]=a: neighbor is the new triangle
 		// whose boundary edge starts at b. Edge (pi, a) is opposite
 		// v[2]=b: neighbor is the new triangle whose boundary edge ends
 		// at a.
-		t.tris[t.newTris[k]].n[1] = byFirst[e.b]
-		t.tris[t.newTris[k]].n[2] = byLast[e.a]
+		t.tris[t.newTris[k]].n[1] = t.wireSlot(e.b, epoch).first
+		t.tris[t.newTris[k]].n[2] = t.wireSlot(e.a, epoch).last
 	}
 	t.lastTri = t.newTris[0]
 	return nil
