@@ -196,9 +196,9 @@ type sweepScratch struct {
 	// sortEvents' radix keys and ping-pong buffers
 	keys, tmpKeys []uint64
 	tmpEvents     []event
-	status [2]activeSet
-	pois   []Object
-	flats  [2]flatMBRs
+	status        [2]activeSet
+	pois          []Object
+	flats         [2]flatMBRs
 }
 
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
