@@ -87,15 +87,15 @@ func (r *reader) str() string {
 		r.err = fmt.Errorf("store: corrupt shard meta (string length %d)", n)
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = err
+	// The cap equals the reader's buffer size, so the whole string can be
+	// peeked: it is copied out only once its bytes have arrived.
+	b := r.peek(int(n))
+	if b == nil {
 		return ""
 	}
-	if r.crc != nil {
-		r.crc.Write(b)
-	}
-	return string(b)
+	s := string(b)
+	r.consume(b)
+	return s
 }
 
 // WriteShard serialises one shard: the metadata preamble followed by the
@@ -175,12 +175,16 @@ func ReadShard(src io.Reader) (ShardMeta, *core.MOVD, error) {
 	if nt > 1<<16 {
 		return meta, nil, fmt.Errorf("store: corrupt shard meta (type count %d)", nt)
 	}
-	meta.TypeNames = make([]string, nt)
-	meta.Kinds = make([]uint8, nt)
-	meta.Sets = make([][]core.Object, nt)
-	for ti := range meta.Sets {
-		meta.TypeNames[ti] = r.str()
-		meta.Kinds[ti] = r.read(1)[0]
+	// nt and each set's object count are untrusted: the per-type slices
+	// grow as the sets arrive, and a set's objects as their bytes do.
+	c := min(nt, 16)
+	meta.TypeNames = make([]string, 0, c)
+	meta.Kinds = make([]uint8, 0, c)
+	meta.Sets = make([][]core.Object, 0, c)
+	per := uint32(r.r.Size() / objectSize)
+	for range nt {
+		name := r.str()
+		kind := r.read(1)[0]
 		no := r.u32()
 		if r.err != nil {
 			return meta, nil, r.err
@@ -188,7 +192,9 @@ func ReadShard(src io.Reader) (ShardMeta, *core.MOVD, error) {
 		if no > maxReasonable {
 			return meta, nil, fmt.Errorf("store: corrupt shard meta (object count %d)", no)
 		}
-		meta.Sets[ti] = r.objects(r.pois.take(int(min(no, growChunk)))[:0], no)
+		meta.TypeNames = append(meta.TypeNames, name)
+		meta.Kinds = append(meta.Kinds, kind)
+		meta.Sets = append(meta.Sets, r.objects(r.pois.take(int(min(no, per)))[:0], no))
 	}
 	meta.Replicas = int(r.i32())
 	want := r.crc.Sum32()

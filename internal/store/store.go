@@ -354,16 +354,18 @@ func (r *reader) consume(b []byte) {
 
 // points appends n decoded points to dst, taking at most one buffer's worth
 // of bytes per read. It is the path for counts too large to peek at once:
-// dst grows by append as the bytes arrive, so an untrusted count costs no
-// allocation beyond the caller's first chunk until the data is really there.
+// dst grows (growFor) only once each piece's bytes are in the buffer, so an
+// untrusted count costs allocation in proportion to the data really there.
 func (r *reader) points(dst geom.Polygon, n uint32) geom.Polygon {
 	per := uint32(r.r.Size() / pointSize)
+	total := len(dst) + int(n)
 	for n > 0 {
 		k := min(n, per)
 		b := r.peek(int(k) * pointSize)
 		if b == nil {
 			break
 		}
+		dst = growFor(dst, int(k), total)
 		for i := 0; i < int(k); i++ {
 			dst = append(dst, getPoint(b[i*pointSize:]))
 		}
@@ -376,12 +378,14 @@ func (r *reader) points(dst geom.Polygon, n uint32) geom.Polygon {
 // objects is points for objects.
 func (r *reader) objects(dst []core.Object, n uint32) []core.Object {
 	per := uint32(r.r.Size() / objectSize)
+	total := len(dst) + int(n)
 	for n > 0 {
 		k := min(n, per)
 		b := r.peek(int(k) * objectSize)
 		if b == nil {
 			break
 		}
+		dst = growFor(dst, int(k), total)
 		for i := 0; i < int(k); i++ {
 			dst = append(dst, getObject(b[i*objectSize:]))
 		}
@@ -393,10 +397,29 @@ func (r *reader) objects(dst []core.Object, n uint32) []core.Object {
 
 const maxReasonable = 1 << 28 // decoder sanity cap on counts
 
-// growChunk caps the first allocation made for an untrusted count: a corrupt
-// count on a truncated stream fails at EOF after at most one chunk of
-// waste.
-const growChunk = 1 << 16
+// growFor returns s with room for k more elements, where total is the
+// element count the stream claims. Every count a decoder reads is
+// untrusted, so capacity grows toward total but, past a floor of
+// growFloor, to at most growFactor times what has already arrived: a
+// hostile count costs allocation in proportion to the bytes really read,
+// and an honest one ends at exactly total, with no slack retained. The
+// factor is large so that an honest stream reaches total in one or two
+// steps: a decoded shard costs about what one exact allocation did.
+func growFor[T any](s []T, k, total int) []T {
+	if cap(s)-len(s) >= k {
+		return s
+	}
+	c := max(min(total, max(growFactor*len(s), growFloor)), len(s)+k)
+	grown := make([]T, len(s), c) // exactly c: decoded slices are capped
+	copy(grown, s)
+	return grown
+}
+
+// growFloor is the least capacity growFor grows to once data arrives.
+const (
+	growFloor  = 1024
+	growFactor = 8
+)
 
 // ovr decodes one record in at most two reads when it fits the buffer: the
 // head (vertex count, vertices, MBR and POI count), then the POIs.
@@ -431,7 +454,7 @@ func (r *reader) ovr() (core.OVR, error) {
 		r.consume(b)
 	} else {
 		r.consume(b)
-		o.Region = r.points(make(geom.Polygon, 0, min(nv, growChunk)), nv)
+		o.Region = r.points(nil, nv)
 		if b = r.peek(rectSize + 4); b == nil {
 			return o, r.err
 		}
@@ -443,7 +466,7 @@ func (r *reader) ovr() (core.OVR, error) {
 		return o, fmt.Errorf("store: corrupt OVR (poi count %d)", np)
 	}
 	if tail := int(np) * objectSize; tail > r.r.Size() {
-		o.POIs = r.objects(make([]core.Object, 0, min(np, growChunk)), np)
+		o.POIs = r.objects(nil, np)
 	} else if np > 0 {
 		if b = r.peek(tail); b == nil {
 			return o, r.err
@@ -509,9 +532,14 @@ func readHeader(r *reader) (header, error) {
 	if nt > 1<<16 {
 		return h, fmt.Errorf("store: corrupt header (type count %d)", nt)
 	}
-	h.types = make([]int, nt)
-	for i := range h.types {
-		h.types[i] = int(r.i32())
+	// Grow the types as they arrive: nt is untrusted.
+	h.types = make([]int, 0, min(nt, 16))
+	for range nt {
+		t := r.i32()
+		if r.err != nil {
+			break
+		}
+		h.types = append(h.types, int(t))
 	}
 	h.count = r.i64()
 	if r.err == nil && (h.count < -1 || h.count > maxReasonable) {
@@ -572,17 +600,10 @@ func (r *reader) movd() (*core.MOVD, error) {
 	}
 	r.crc = crc32.NewIEEE()
 	m := &core.MOVD{Mode: h.mode, Bounds: h.bounds, Types: h.types}
-	if h.count > 0 {
-		// The count is validated against maxReasonable but still untrusted:
-		// cap the preallocation so a hostile header cannot force a huge
-		// up-front allocation (append grows the slice as real records
-		// arrive).
-		prealloc := h.count
-		if prealloc > 1<<20 {
-			prealloc = 1 << 20
-		}
-		m.OVRs = make([]core.OVR, 0, prealloc)
-	}
+	// The header's count (-1 when unknown) is validated against
+	// maxReasonable but still untrusted: the OVR slice grows toward it only
+	// as records arrive.
+	total := int(max(h.count, 0))
 	for {
 		o, err := r.ovr()
 		if errors.Is(err, errEndOfStream) {
@@ -599,7 +620,7 @@ func (r *reader) movd() (*core.MOVD, error) {
 			}
 			return nil, err
 		}
-		m.OVRs = append(m.OVRs, o)
+		m.OVRs = append(growFor(m.OVRs, 1, total), o)
 	}
 }
 
