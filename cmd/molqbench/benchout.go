@@ -137,6 +137,22 @@ func benchSuite(quick bool) ([]benchSpec, error) {
 		}
 	}
 
+	// The VD Generator at a servebench solve's per-type size, mirroring
+	// bench_test.go's BenchmarkVoronoiCompute, so the VD layer has a gated
+	// row beside the ⊕ rows above.
+	vdPts := dataset.Generate(dataset.Config{Seed: 11}, dataset.STM, 1000)
+	specs = append(specs, benchSpec{
+		name: "BenchmarkVoronoiCompute/n=1000",
+		fn: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := voronoi.Compute(vdPts, dataset.DefaultBounds); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	})
+
 	// Repeated-solve pair: cold resets the diagram cache before every solve,
 	// warm primes it once and then always hits. Combination pruning is on —
 	// the cache stores the pruned diagram, so warm solves skip that work too.
