@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"molq/internal/geom"
@@ -163,18 +164,15 @@ func overlapPair(a, b *MOVD, prune PruneFunc, workers int, span *obs.Span) (*MOV
 		}()
 	}
 	wg.Wait()
-	n := 0
+	parts := make([][]OVR, 0, len(cols))
 	for _, col := range cols {
 		if col != nil {
-			n += len(col.ovrs)
+			parts = append(parts, col.ovrs)
 		}
 	}
-	if n > 0 {
-		result.OVRs = make([]OVR, 0, n)
-	}
+	result.OVRs = slices.Concat(parts...)
 	for _, col := range cols {
 		if col != nil {
-			result.OVRs = append(result.OVRs, col.ovrs...)
 			col.reset()
 			ovrCollectorPool.Put(col)
 		}

@@ -63,9 +63,20 @@ func sealMeta(b []byte) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(shardMagic)+2:]))
 }
 
+// minimalRecords appends n OVR records with no vertices and no POIs, the
+// fewest bytes a record can take.
+func minimalRecords(b []byte, n int) []byte {
+	rec := make([]byte, 4+rectSize+4)
+	for range n {
+		b = append(b, rec...)
+	}
+	return b
+}
+
 // TestHostileHeaders feeds each untrusted count at its cap with nothing
-// after it, and checks that decoding fails while allocating no more than
-// hostileBudget of the input length.
+// after it, and OVR counts that are unknown, too small or too large ahead
+// of many minimal records, and checks that decoding fails while allocating
+// no more than hostileBudget of the input length.
 func TestHostileHeaders(t *testing.T) {
 	u32 := binary.LittleEndian.AppendUint32
 	movdCases := []struct {
@@ -76,6 +87,10 @@ func TestHostileHeaders(t *testing.T) {
 		{"header OVR count", movdHead(nil, 0, maxReasonable)},
 		{"record vertex count", u32(movdHead(nil, 0, 1), maxReasonable)},
 		{"record POI count", u32(append(u32(movdHead(nil, 0, 1), 0), make([]byte, rectSize)...), maxReasonable)},
+		{"unknown OVR count, many records", minimalRecords(movdHead(nil, 0, -1), 1e5)},
+		{"OVR count 1, many records", minimalRecords(movdHead(nil, 0, 1), 1e5)},
+		// One record past a growth step, where the unused capacity peaks.
+		{"OVR count at cap, many records", minimalRecords(movdHead(nil, 0, maxReasonable), growFloor*growFactor*growFactor+1)},
 	}
 	for _, tc := range movdCases {
 		var err error
@@ -101,6 +116,7 @@ func TestHostileHeaders(t *testing.T) {
 		{"meta type count", shardHead(nil, 0, 1<<16)},
 		{"meta set object count", set(maxReasonable)},
 		{"embedded OVR count", movdHead(sealMeta(shardHead(nil, 0, 0)), 0, maxReasonable)},
+		{"embedded OVR count after a large set", movdHead(sealMeta(append(set(1e4), make([]byte, 1e4*objectSize)...)), 0, maxReasonable)},
 	}
 	for _, tc := range shardCases {
 		var err error

@@ -42,6 +42,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"unsafe"
 
 	"molq/internal/core"
@@ -281,6 +282,7 @@ type reader struct {
 	crc     hash.Hash32 // non-nil once the header is read
 	lastSum uint32      // checksum snapshot taken before each record
 	err     error
+	n       int // bytes consumed so far
 	buf     [8]byte
 	regions slab[geom.Point]
 	pois    slab[core.Object]
@@ -306,8 +308,11 @@ func (r *reader) read(n int) []byte {
 		return r.buf[:n]
 	}
 	_, r.err = io.ReadFull(r.r, r.buf[:n])
-	if r.err == nil && r.crc != nil {
-		r.crc.Write(r.buf[:n])
+	if r.err == nil {
+		r.n += n
+		if r.crc != nil {
+			r.crc.Write(r.buf[:n])
+		}
 	}
 	return r.buf[:n]
 }
@@ -350,6 +355,7 @@ func (r *reader) consume(b []byte) {
 		r.crc.Write(b)
 	}
 	r.r.Discard(len(b))
+	r.n += len(b)
 }
 
 // points appends n decoded points to dst, taking at most one buffer's worth
@@ -405,9 +411,14 @@ const maxReasonable = 1 << 28 // decoder sanity cap on counts
 // and an honest one ends at exactly total, with no slack retained. The
 // factor is large so that an honest stream reaches total in one or two
 // steps: a decoded shard costs about what one exact allocation did.
+// When the claim is unknown or already exceeded, s grows as append grows
+// it, so a stream of any length costs amortised linear time.
 func growFor[T any](s []T, k, total int) []T {
 	if cap(s)-len(s) >= k {
 		return s
+	}
+	if total < len(s)+k {
+		return slices.Grow(s, k)
 	}
 	c := max(min(total, max(growFactor*len(s), growFloor)), len(s)+k)
 	grown := make([]T, len(s), c) // exactly c: decoded slices are capped
@@ -416,9 +427,12 @@ func growFor[T any](s []T, k, total int) []T {
 }
 
 // growFloor is the least capacity growFor grows to once data arrives.
+// growFactor bounds what a hostile count costs: a minimal 40-byte record
+// decodes to an 80-byte OVR, so the capacities a stream of them grows
+// through total under 15 times its length.
 const (
 	growFloor  = 1024
-	growFactor = 8
+	growFactor = 6
 )
 
 // ovr decodes one record in at most two reads when it fits the buffer: the
@@ -602,8 +616,12 @@ func (r *reader) movd() (*core.MOVD, error) {
 	m := &core.MOVD{Mode: h.mode, Bounds: h.bounds, Types: h.types}
 	// The header's count (-1 when unknown) is validated against
 	// maxReasonable but still untrusted: the OVR slice grows toward it only
-	// as records arrive.
+	// as records arrive. The bytes already read (a shard's meta precedes
+	// its OVRs) pay for a first slice of up to growFactor times their size.
 	total := int(max(h.count, 0))
+	if c := min(total, growFactor*r.n/int(unsafe.Sizeof(core.OVR{}))); c > 0 {
+		m.OVRs = make([]core.OVR, 0, c)
+	}
 	for {
 		o, err := r.ovr()
 		if errors.Is(err, errEndOfStream) {
