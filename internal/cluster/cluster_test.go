@@ -38,13 +38,18 @@ func (n *testNode) kill() {
 }
 
 // startNode launches a replica and its heartbeat agent against routerURL.
-func startNode(t *testing.T, routerURL, id string, apiOpts ...httpapi.Option) *testNode {
+// Each wrap is applied around the replica's handler, innermost first.
+func startNode(t *testing.T, routerURL, id string, wraps ...func(http.Handler) http.Handler) *testNode {
 	t.Helper()
 	n := &testNode{id: id}
-	n.api = httpapi.New(apiOpts...)
+	n.api = httpapi.New()
 	ss := cluster.NewShardStore()
 	n.rep = cluster.NewReplica(ss)
-	n.srv = httptest.NewServer(cluster.NewReplicaMux(n.api, n.rep))
+	var h http.Handler = cluster.NewReplicaMux(n.api, n.rep)
+	for _, wrap := range wraps {
+		h = wrap(h)
+	}
+	n.srv = httptest.NewServer(h)
 	ctx, cancel := context.WithCancel(context.Background())
 	n.cancel = cancel
 	agent := &cluster.Agent{
@@ -69,14 +74,14 @@ func startNode(t *testing.T, routerURL, id string, apiOpts ...httpapi.Option) *t
 }
 
 // startCluster brings up a router plus n replicas and waits for liveness.
-func startCluster(t *testing.T, n int, routerOpts []cluster.RouterOption, apiOpts ...httpapi.Option) (*cluster.Router, *httptest.Server, []*testNode) {
+func startCluster(t *testing.T, n int, routerOpts []cluster.RouterOption, wraps ...func(http.Handler) http.Handler) (*cluster.Router, *httptest.Server, []*testNode) {
 	t.Helper()
 	router := cluster.NewRouter(routerOpts...)
 	rsrv := httptest.NewServer(router)
 	t.Cleanup(rsrv.Close)
 	nodes := make([]*testNode, n)
 	for i := range nodes {
-		nodes[i] = startNode(t, rsrv.URL, fmt.Sprintf("node-%d", i), apiOpts...)
+		nodes[i] = startNode(t, rsrv.URL, fmt.Sprintf("node-%d", i), wraps...)
 	}
 	waitLive(t, router, n)
 	return router, rsrv, nodes
@@ -454,13 +459,43 @@ func TestClusterMixedLoadConvergence(t *testing.T) {
 	}
 }
 
+// modelService models one node's compute capacity for a throughput test:
+// a one-slot gate in front of POST /v1/solve that answers 429 while the slot
+// is taken and holds it for d before calling through. Other routes
+// (heartbeats, shard installs) pass untouched. In-process nodes share the
+// host's CPUs, so real compute cannot show capacity scaling, but time held
+// under a per-node gate can.
+func modelService(d time.Duration) func(http.Handler) http.Handler {
+	return func(h http.Handler) http.Handler {
+		slot := make(chan struct{}, 1)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost || r.URL.Path != "/v1/solve" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			select {
+			case slot <- struct{}{}:
+			default:
+				httpapi.WriteError(w, http.StatusTooManyRequests, "", "modelled node busy")
+				return
+			}
+			defer func() { <-slot }()
+			select {
+			case <-time.After(d):
+			case <-r.Context().Done():
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+}
+
 // TestClusterThroughput compares sustained solve QPS of the 3-node cluster
-// against a single node under the same per-node admission limit (1
-// concurrent solve, no queue) and the same per-request service time. The
-// in-process nodes share the host's CPUs, so capacity is modeled with a
-// synthetic service delay held under the admission gate — exactly what a
-// node's own compute would occupy on real hardware. The cluster admits 3×
-// the concurrency and must clear ≥2.5× the single-node rate.
+// against a single node under the same modelled per-node capacity
+// (modelService: 1 concurrent solve, no queue, a fixed service time). The
+// cluster admits 3× the concurrency and must clear ≥2.5× the single-node
+// rate. The figure is a model of capacity scaling, not a measurement of
+// compute.
 func TestClusterThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput comparison skipped in -short")
@@ -468,18 +503,13 @@ func TestClusterThroughput(t *testing.T) {
 	// Big enough that the router's per-request CPU share (JSON hops under
 	// -race on a small host) stays a fraction of the modeled service time.
 	const serviceTime = 40 * time.Millisecond
-	nodeOpts := []httpapi.Option{
-		httpapi.WithAdmission(1, 0),
-		httpapi.WithServiceDelay(serviceTime),
-	}
 	_, rsrv, _ := startCluster(t, 3,
 		[]cluster.RouterOption{cluster.WithShards(2), cluster.WithHeartbeatTimeout(2 * time.Second)},
-		nodeOpts...)
+		modelService(serviceTime))
 	ctx := context.Background()
 	cc := client.New(rsrv.URL)
 
-	singleAPI := httpapi.New(nodeOpts...)
-	ssrv := httptest.NewServer(singleAPI)
+	ssrv := httptest.NewServer(modelService(serviceTime)(httpapi.New()))
 	t.Cleanup(ssrv.Close)
 	sc := client.New(ssrv.URL)
 

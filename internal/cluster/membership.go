@@ -80,9 +80,6 @@ func NewMembership(timeout time.Duration) *Membership {
 	}
 }
 
-// Timeout returns the liveness window.
-func (m *Membership) Timeout() time.Duration { return m.timeout }
-
 // Update records a heartbeat, returning true when the node is new (first
 // heartbeat, or first after the node expired and was removed).
 func (m *Membership) Update(st NodeStatus) bool {

@@ -47,9 +47,7 @@ import (
 // stack (httpapi.Wrap).
 type Router struct {
 	members *Membership
-	metrics *obs.Registry
 	log     *slog.Logger
-	hc      *http.Client
 	nshards int
 	start   time.Time
 
@@ -104,15 +102,6 @@ func WithRouterLogger(l *slog.Logger) RouterOption {
 	}
 }
 
-// WithRouterMetrics uses reg instead of obs.Default.
-func WithRouterMetrics(reg *obs.Registry) RouterOption {
-	return func(r *Router) {
-		if reg != nil {
-			r.metrics = reg
-		}
-	}
-}
-
 // WithShards sets how many strips each engine is cut into (default:
 // GOMAXPROCS, min 2 — one strip would make the cluster a proxy).
 func WithShards(n int) RouterOption {
@@ -132,23 +121,11 @@ func WithHeartbeatTimeout(d time.Duration) RouterOption {
 	}
 }
 
-// WithClusterHTTPClient overrides the HTTP client used for shard calls
-// (snapshot ships, deltas, shard queries).
-func WithClusterHTTPClient(hc *http.Client) RouterOption {
-	return func(r *Router) {
-		if hc != nil {
-			r.hc = hc
-		}
-	}
-}
-
 // NewRouter returns a ready-to-serve coordinator.
 func NewRouter(opts ...RouterOption) *Router {
 	r := &Router{
 		members: NewMembership(3 * time.Second),
-		metrics: obs.Default,
 		log:     slog.New(slog.NewTextHandler(io.Discard, nil)),
-		hc:      http.DefaultClient,
 		nshards: max(2, runtime.GOMAXPROCS(0)),
 		start:   time.Now(),
 		engines: make(map[string]*routerEngine),
@@ -159,19 +136,19 @@ func NewRouter(opts ...RouterOption) *Router {
 	for _, opt := range opts {
 		opt(r)
 	}
-	r.routeMetric = r.metrics.CounterVec("molq_cluster_route_total",
+	r.routeMetric = obs.Default.CounterVec("molq_cluster_route_total",
 		"Shard queries routed, by engine and shard.", "engine", "shard")
-	r.proxyMetric = r.metrics.CounterVec("molq_cluster_proxy_total",
+	r.proxyMetric = obs.Default.CounterVec("molq_cluster_proxy_total",
 		"Whole requests proxied to replicas, by route.", "route")
-	r.shipMetric = r.metrics.CounterVec("molq_cluster_snapshots_shipped_total",
+	r.shipMetric = obs.Default.CounterVec("molq_cluster_snapshots_shipped_total",
 		"Shard snapshots shipped to replicas, by engine.", "engine")
-	r.failoverMetric = r.metrics.Counter("molq_cluster_failovers_total",
+	r.failoverMetric = obs.Default.Counter("molq_cluster_failovers_total",
 		"Shard calls retried on another replica after a node failure.")
-	r.staleMetric = r.metrics.Counter("molq_cluster_stale_refetch_total",
+	r.staleMetric = obs.Default.Counter("molq_cluster_stale_refetch_total",
 		"Stale-shard conflicts resolved by shipping a fresh snapshot.")
-	r.heartbeatMetric = r.metrics.Counter("molq_cluster_heartbeats_total",
+	r.heartbeatMetric = obs.Default.Counter("molq_cluster_heartbeats_total",
 		"Heartbeats received from replicas.")
-	r.hbAgeMetric = r.metrics.GaugeVec("molq_cluster_heartbeat_age_seconds",
+	r.hbAgeMetric = obs.Default.GaugeVec("molq_cluster_heartbeat_age_seconds",
 		"Seconds since each replica's last heartbeat (refreshed at scrape).", "node")
 
 	mux := http.NewServeMux()
@@ -217,7 +194,7 @@ func (r *Router) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	isNew := r.members.Update(st)
 	r.nodeMu.Lock()
 	if c := r.clients[st.ID]; c == nil || c.BaseURL() != st.Addr {
-		r.clients[st.ID] = client.New(st.Addr, client.WithHTTPClient(r.hc))
+		r.clients[st.ID] = client.New(st.Addr)
 	}
 	needSync := r.missingShardsLocked(st.ID) && !r.syncing[st.ID]
 	if needSync {
@@ -319,7 +296,7 @@ func (r *Router) shipShard(re *routerEngine, cut *shardCut, s int, addr, nodeID 
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := r.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -498,7 +475,7 @@ func (r *Router) handleEngineDelete(w http.ResponseWriter, req *http.Request) {
 		dreq, err := http.NewRequestWithContext(ctx, http.MethodDelete,
 			n.Addr+"/cluster/v1/shards/"+name, nil)
 		if err == nil {
-			if resp, err := r.hc.Do(dreq); err == nil {
+			if resp, err := http.DefaultClient.Do(dreq); err == nil {
 				resp.Body.Close()
 			}
 		}
@@ -659,7 +636,7 @@ func (r *Router) postShardQuery(ctx context.Context, addr, engine string, s int,
 	if tc, ok := obs.TraceFromContext(ctx); ok {
 		req.Header.Set(obs.TraceparentHeader, tc.Traceparent())
 	}
-	resp, err := r.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -819,7 +796,7 @@ func (r *Router) sendDelta(addr string, d Delta) bool {
 		return false
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false
 	}
@@ -954,7 +931,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	for node, age := range r.members.Ages() {
 		r.hbAgeMetric.With(node).Set(age.Seconds())
 	}
-	httpapi.ServeMetrics(w, req, r.metrics, r.log)
+	httpapi.ServeMetrics(w, req, obs.Default, r.log)
 }
 
 func atoi(s string) (int, error) {

@@ -85,8 +85,7 @@ func (s *dynSet) liveSlots() []int {
 func (s *dynSet) mutate(t *testing.T, r *rand.Rand) (touched []int, dirtyIDs map[int]bool) {
 	t.Helper()
 	dirtyIDs = make(map[int]bool)
-	if r.Intn(2) == 0 && s.dyn.Len() > 4 {
-		live := s.liveSlots()
+	if live := s.liveSlots(); r.Intn(2) == 0 && len(live) > 4 {
 		victim := live[r.Intn(len(live))]
 		dirty, err := s.dyn.Delete(victim)
 		if err != nil {

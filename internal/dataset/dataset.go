@@ -207,28 +207,3 @@ func WriteRecords(w io.Writer, recs []Record) error {
 	}
 	return bw.Flush()
 }
-
-// Points converts records to bare locations.
-func Points(recs []Record) []geom.Point {
-	pts := make([]geom.Point, len(recs))
-	for i, r := range recs {
-		pts[i] = geom.Pt(r.X, r.Y)
-	}
-	return pts
-}
-
-// Sample returns n points drawn without replacement from pts (the paper's
-// "objects are randomly selected from the data sets"), deterministically per
-// seed. It panics if n exceeds len(pts).
-func Sample(pts []geom.Point, n int, seed int64) []geom.Point {
-	if n > len(pts) {
-		panic(fmt.Sprintf("dataset: sample %d from %d points", n, len(pts)))
-	}
-	r := rand.New(rand.NewSource(seed))
-	idx := r.Perm(len(pts))[:n]
-	out := make([]geom.Point, n)
-	for i, j := range idx {
-		out[i] = pts[j]
-	}
-	return out
-}

@@ -140,30 +140,6 @@ func TestReadRecordsErrors(t *testing.T) {
 	}
 }
 
-func TestSample(t *testing.T) {
-	pts := Generate(Config{Seed: 1}, BLDG, 100)
-	s1 := Sample(pts, 10, 5)
-	s2 := Sample(pts, 10, 5)
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatal("sampling not deterministic")
-		}
-	}
-	seen := map[geom.Point]bool{}
-	for _, p := range s1 {
-		if seen[p] {
-			t.Fatal("sample drew a duplicate")
-		}
-		seen[p] = true
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversample should panic")
-		}
-	}()
-	Sample(pts, 101, 1)
-}
-
 func TestPaperSizes(t *testing.T) {
 	if PaperSizes[STM] != 230762 || PaperSizes[BLDG] != 110289 {
 		t.Fatal("paper cardinalities wrong")

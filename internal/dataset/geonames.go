@@ -119,22 +119,3 @@ func (p Projection) Project(lat, lon float64) geom.Point {
 		(lat-p.RefLat)*kmPerDegree,
 	)
 }
-
-// Unproject converts a planar point back to (lat, lon).
-func (p Projection) Unproject(q geom.Point) (lat, lon float64) {
-	lat = p.RefLat + q.Y/kmPerDegree
-	lon = p.RefLon
-	if p.cosRef != 0 {
-		lon += q.X / (kmPerDegree * p.cosRef)
-	}
-	return lat, lon
-}
-
-// ProjectRecords converts records to planar points with the projection.
-func ProjectRecords(recs []GeoNamesRecord, p Projection) []geom.Point {
-	out := make([]geom.Point, len(recs))
-	for i, r := range recs {
-		out[i] = p.Project(r.Lat, r.Lon)
-	}
-	return out
-}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"molq/internal/geom"
 )
 
 // row builds a 19-column GeoNames line with the fields this reader uses.
@@ -77,17 +79,6 @@ func TestReadGeoNamesErrors(t *testing.T) {
 	}
 }
 
-func TestProjectionRoundTrip(t *testing.T) {
-	p := NewProjection(39.0, -98.0) // center of CONUS
-	for _, c := range [][2]float64{{39, -98}, {32.6, -85.5}, {47.6, -122.3}, {25.8, -80.2}} {
-		q := p.Project(c[0], c[1])
-		lat, lon := p.Unproject(q)
-		if math.Abs(lat-c[0]) > 1e-9 || math.Abs(lon-c[1]) > 1e-9 {
-			t.Fatalf("round trip (%v,%v) -> %v -> (%v,%v)", c[0], c[1], q, lat, lon)
-		}
-	}
-}
-
 func TestProjectionDistances(t *testing.T) {
 	p := NewProjection(40, -100)
 	// One degree of latitude ≈ 111.32 km.
@@ -113,10 +104,7 @@ func TestProjectionFor(t *testing.T) {
 	if p.RefLat != 40 || p.RefLon != -100 {
 		t.Fatalf("centroid projection: %+v", p)
 	}
-	pts := ProjectRecords(recs, p)
-	if len(pts) != 2 {
-		t.Fatalf("points: %d", len(pts))
-	}
+	pts := []geom.Point{p.Project(recs[0].Lat, recs[0].Lon), p.Project(recs[1].Lat, recs[1].Lon)}
 	// Centroid of projected points is near the origin.
 	mid := pts[0].Add(pts[1]).Scale(0.5)
 	if mid.Norm() > 1e-9 {

@@ -104,34 +104,6 @@ func (f *Feature) Point() (geom.Point, error) {
 	return geom.Pt(c[0], c[1]), nil
 }
 
-// Polygon extracts the exterior ring of a Polygon feature (holes are
-// rejected — the MOLQ pipeline has no use for them).
-func (f *Feature) Polygon() (geom.Polygon, error) {
-	if f.Geometry.Type != "Polygon" {
-		return nil, fmt.Errorf("geojson: geometry is %q, want Polygon", f.Geometry.Type)
-	}
-	var rings [][][2]float64
-	if err := json.Unmarshal(f.Geometry.Coordinates, &rings); err != nil {
-		return nil, fmt.Errorf("geojson: bad Polygon coordinates: %w", err)
-	}
-	if len(rings) == 0 {
-		return nil, fmt.Errorf("geojson: Polygon without rings")
-	}
-	if len(rings) > 1 {
-		return nil, fmt.Errorf("geojson: Polygon with holes not supported")
-	}
-	ring := rings[0]
-	// Drop the closing duplicate.
-	if len(ring) > 1 && ring[0] == ring[len(ring)-1] {
-		ring = ring[:len(ring)-1]
-	}
-	pg := make(geom.Polygon, len(ring))
-	for i, c := range ring {
-		pg[i] = geom.Pt(c[0], c[1])
-	}
-	return pg, nil
-}
-
 // numProp reads a numeric property with a default.
 func (f *Feature) numProp(key string, def float64) float64 {
 	if f.Properties == nil {
@@ -192,21 +164,6 @@ func FromMOVD(m *core.MOVD) *FeatureCollection {
 			props["boundary"] = "region"
 		}
 		fc.Add(PolygonFeature(pg, props))
-	}
-	return fc
-}
-
-// FromCells exports Voronoi cells with their site index.
-func FromCells(cells []geom.Polygon, sites []geom.Point) *FeatureCollection {
-	fc := NewFeatureCollection()
-	for i, c := range cells {
-		if c.IsEmpty() {
-			continue
-		}
-		fc.Add(PolygonFeature(c, map[string]any{"site": i}))
-	}
-	for i, s := range sites {
-		fc.Add(PointFeature(s, map[string]any{"site": i}))
 	}
 	return fc
 }

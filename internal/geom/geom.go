@@ -72,14 +72,6 @@ func Orient(a, b, c Point) float64 {
 	return (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
 }
 
-// Collinear reports whether a, b and c are collinear within tolerance
-// proportional to the magnitudes involved.
-func Collinear(a, b, c Point) bool {
-	o := Orient(a, b, c)
-	scale := math.Max(1, math.Max(b.Sub(a).Norm(), c.Sub(a).Norm()))
-	return math.Abs(o) <= Eps*scale*scale
-}
-
 // InCircle reports a positive value when d lies inside the circle through
 // a, b, c (which must be in counterclockwise order), negative when outside.
 func InCircle(a, b, c, d Point) float64 {
@@ -229,9 +221,3 @@ func (r Rect) String() string {
 type Segment struct {
 	A, B Point
 }
-
-// Midpoint returns the midpoint of s.
-func (s Segment) Midpoint() Point { return Lerp(s.A, s.B, 0.5) }
-
-// Length returns the Euclidean length of s.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }

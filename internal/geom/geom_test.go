@@ -45,12 +45,6 @@ func TestOrient(t *testing.T) {
 	if Orient(Pt(0, 0), Pt(0, 1), Pt(1, 0)) >= 0 {
 		t.Fatal("cw triple should be negative")
 	}
-	if !Collinear(Pt(0, 0), Pt(1, 1), Pt(5, 5)) {
-		t.Fatal("collinear triple not detected")
-	}
-	if Collinear(Pt(0, 0), Pt(1, 1), Pt(5, 5.01)) {
-		t.Fatal("non-collinear triple misdetected")
-	}
 }
 
 func TestInCircle(t *testing.T) {
@@ -258,15 +252,5 @@ func TestRectPolygonRoundTrip(t *testing.T) {
 	}
 	if pg.SignedArea() <= 0 {
 		t.Fatal("RectPolygon should be counterclockwise")
-	}
-}
-
-func TestSegment(t *testing.T) {
-	s := Segment{A: Pt(0, 0), B: Pt(3, 4)}
-	if s.Length() != 5 {
-		t.Fatalf("length = %v", s.Length())
-	}
-	if !s.Midpoint().Eq(Pt(1.5, 2)) {
-		t.Fatalf("midpoint = %v", s.Midpoint())
 	}
 }

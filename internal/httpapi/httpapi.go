@@ -366,11 +366,6 @@ type Server struct {
 	// recorderSet distinguishes WithRecorder(nil) — recorder explicitly
 	// disabled — from "no option given", which gets the default recorder.
 	recorderSet bool
-	// serviceDelay is a synthetic per-request service time added inside the
-	// admission gate on solve (0: disabled). Load tests use it to model a
-	// node's compute capacity when the real CPUs are shared or too fast to
-	// exercise admission.
-	serviceDelay time.Duration
 }
 
 // Option configures a Server at construction.
@@ -423,19 +418,6 @@ func WithSlowQueryLog(d time.Duration) Option {
 func WithAdmission(maxConcurrent, maxQueue int) Option {
 	return func(s *Server) {
 		s.gate = newSolveGate(maxConcurrent, maxQueue)
-	}
-}
-
-// WithServiceDelay adds a synthetic per-request service time on the solve
-// path, spent while the admission slot is held. Load tests use it to model
-// per-node compute capacity: in-process "nodes" share the host's CPUs, so
-// real compute cannot show capacity scaling, but time held under the gate
-// can. d ≤ 0 disables (the default).
-func WithServiceDelay(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.serviceDelay = d
-		}
 	}
 }
 
@@ -617,14 +599,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.gate.release()
-	if s.serviceDelay > 0 {
-		select {
-		case <-time.After(s.serviceDelay):
-		case <-r.Context().Done():
-			writeErr(w, SolveStatus(r.Context().Err()), "%v", r.Context().Err())
-			return
-		}
-	}
 	var req SolveRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)

@@ -9,7 +9,7 @@ import (
 // FlatTree is a bulk-loaded, structure-of-arrays kd-tree specialized for the
 // one query the MWVD refinement loop issues millions of times: nearest site
 // to a cell center, in squared distance. The median-layout permutation is
-// computed once by Build's quickselect and then *gathered* — coordinates are
+// computed once by a quickselect and then *gathered* — coordinates are
 // copied into contiguous xs/ys slices in traversal order, so the hot descent
 // reads two flat float64 arrays instead of chasing idx→pts indirections, and
 // Nearest2 skips the final square root the refinement would immediately
@@ -19,25 +19,21 @@ type FlatTree struct {
 	ids    []int32   // median layout -> original point index
 }
 
-// BuildFlat constructs a FlatTree over pts. Unlike Build, the input slice is
-// not retained — coordinates are copied into the tree's own SoA arrays.
+// BuildFlat constructs a FlatTree over pts. The input slice is not
+// retained — coordinates are copied into the tree's own SoA arrays.
 func BuildFlat(pts []geom.Point) *FlatTree {
-	t := Build(pts)
 	ft := &FlatTree{
 		xs:  make([]float64, len(pts)),
 		ys:  make([]float64, len(pts)),
 		ids: make([]int32, len(pts)),
 	}
-	for k, pi := range t.idx {
+	for k, pi := range medianLayout(pts) {
 		ft.xs[k] = pts[pi].X
 		ft.ys[k] = pts[pi].Y
 		ft.ids[k] = pi
 	}
 	return ft
 }
-
-// Len returns the number of indexed points.
-func (t *FlatTree) Len() int { return len(t.ids) }
 
 // Nearest2 returns the original index of the closest point to (x, y) and the
 // squared distance to it, or (-1, +Inf) for an empty tree.

@@ -8,8 +8,8 @@ import (
 	"molq/internal/geom"
 )
 
-// TestFlatNearest2MatchesTree cross-checks the SoA tree against the pointer
-// tree on random and adversarial (duplicate, collinear) point sets: same
+// TestFlatNearest2MatchesTree cross-checks the SoA tree against a linear
+// scan on random and adversarial (duplicate, collinear) point sets: same
 // winner index up to distance ties, bit-equal squared distance.
 func TestFlatNearest2MatchesTree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -25,14 +25,13 @@ func TestFlatNearest2MatchesTree(t *testing.T) {
 				pts[i] = geom.Pt(r.Float64()*100, r.Float64()*100)
 			}
 		}
-		tree := Build(append([]geom.Point(nil), pts...))
 		flat := BuildFlat(pts)
-		if flat.Len() != n {
-			t.Fatalf("n=%d: Len=%d", n, flat.Len())
+		if len(flat.ids) != n {
+			t.Fatalf("n=%d: Len=%d", n, len(flat.ids))
 		}
 		for probe := 0; probe < 200; probe++ {
 			q := geom.Pt(r.Float64()*120-10, r.Float64()*120-10)
-			wantI, wantD := tree.Nearest(q)
+			wantI, _ := bruteNearest(pts, q)
 			gotI, gotD2 := flat.Nearest2(q.X, q.Y)
 			if n == 0 {
 				if gotI != -1 || !math.IsInf(gotD2, 1) {
@@ -40,12 +39,12 @@ func TestFlatNearest2MatchesTree(t *testing.T) {
 				}
 				continue
 			}
-			if math.Sqrt(gotD2) != wantD && gotD2 != wantD*wantD {
-				t.Fatalf("n=%d q=%v: flat d2=%g vs tree d=%g", n, q, gotD2, wantD)
+			if wantD2 := q.Dist2(pts[wantI]); gotD2 != wantD2 {
+				t.Fatalf("n=%d q=%v: flat d2=%g vs scan d2=%g", n, q, gotD2, wantD2)
 			}
 			// Indices may differ only on exact distance ties.
 			if int(gotI) != wantI && q.Dist2(pts[gotI]) != q.Dist2(pts[wantI]) {
-				t.Fatalf("n=%d q=%v: flat idx %d (d2 %g) vs tree idx %d (d2 %g)",
+				t.Fatalf("n=%d q=%v: flat idx %d (d2 %g) vs scan idx %d (d2 %g)",
 					n, q, gotI, q.Dist2(pts[gotI]), wantI, q.Dist2(pts[wantI]))
 			}
 		}

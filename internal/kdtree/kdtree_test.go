@@ -3,7 +3,6 @@ package kdtree
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -28,116 +27,30 @@ func bruteNearest(pts []geom.Point, q geom.Point) (int, float64) {
 	return best, bestD
 }
 
-func bruteKNN(pts []geom.Point, q geom.Point, k int) []Neighbor {
-	all := make([]Neighbor, len(pts))
-	for i, p := range pts {
-		all[i] = Neighbor{Index: i, Dist: q.Dist(p)}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Dist < all[j].Dist })
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
+// nearest queries tr and returns the winner and its (unsquared) distance.
+func nearest(tr *FlatTree, q geom.Point) (int, float64) {
+	i, d2 := tr.Nearest2(q.X, q.Y)
+	return int(i), math.Sqrt(d2)
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := Build(nil)
-	if i, d := tr.Nearest(geom.Pt(0, 0)); i != -1 || !math.IsInf(d, 1) {
+	tr := BuildFlat(nil)
+	if i, d := nearest(tr, geom.Pt(0, 0)); i != -1 || !math.IsInf(d, 1) {
 		t.Fatalf("empty nearest: %d %v", i, d)
-	}
-	if got := tr.KNearest(geom.Pt(0, 0), 3); got != nil {
-		t.Fatalf("empty knn: %v", got)
 	}
 }
 
 func TestNearestMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	pts := randomPoints(r, 5000, 1000)
-	tr := Build(pts)
+	tr := BuildFlat(pts)
 	for trial := 0; trial < 1000; trial++ {
 		q := geom.Pt(r.Float64()*1200-100, r.Float64()*1200-100)
 		wi, wd := bruteNearest(pts, q)
-		gi, gd := tr.Nearest(q)
+		gi, gd := nearest(tr, q)
 		if math.Abs(gd-wd) > 1e-9 {
 			t.Fatalf("q=%v: got %d@%v want %d@%v", q, gi, gd, wi, wd)
 		}
-	}
-}
-
-func TestKNearestMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	pts := randomPoints(r, 2000, 500)
-	tr := Build(pts)
-	for trial := 0; trial < 200; trial++ {
-		q := geom.Pt(r.Float64()*500, r.Float64()*500)
-		k := 1 + r.Intn(20)
-		want := bruteKNN(pts, q, k)
-		got := tr.KNearest(q, k)
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: got %d results", k, len(got))
-		}
-		for i := range got {
-			if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-				t.Fatalf("k=%d rank %d: %v vs %v", k, i, got[i], want[i])
-			}
-		}
-		// Ascending order.
-		for i := 1; i < len(got); i++ {
-			if got[i].Dist < got[i-1].Dist {
-				t.Fatalf("knn out of order: %v", got)
-			}
-		}
-	}
-}
-
-func TestKNearestMoreThanN(t *testing.T) {
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}
-	tr := Build(pts)
-	got := tr.KNearest(geom.Pt(0.4, 0), 10)
-	if len(got) != 2 || got[0].Index != 0 {
-		t.Fatalf("knn > n: %v", got)
-	}
-}
-
-func TestInRectMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	pts := randomPoints(r, 3000, 100)
-	tr := Build(pts)
-	for trial := 0; trial < 200; trial++ {
-		x, y := r.Float64()*100, r.Float64()*100
-		box := geom.NewRect(geom.Pt(x, y), geom.Pt(x+r.Float64()*20, y+r.Float64()*20))
-		want := map[int]bool{}
-		for i, p := range pts {
-			if box.Contains(p) {
-				want[i] = true
-			}
-		}
-		got := map[int]bool{}
-		tr.InRect(box, func(i int) bool {
-			got[i] = true
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("rect %v: %d vs %d", box, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i] {
-				t.Fatalf("rect %v: missing %d", box, i)
-			}
-		}
-	}
-}
-
-func TestInRectEarlyStop(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	tr := Build(randomPoints(r, 500, 10))
-	count := 0
-	tr.InRect(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), func(int) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Fatalf("early stop visited %d", count)
 	}
 }
 
@@ -146,8 +59,8 @@ func TestDuplicateCoordinates(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Pt(float64(i%5), float64(i%3)) // heavy duplication
 	}
-	tr := Build(pts)
-	i, d := tr.Nearest(geom.Pt(2, 1))
+	tr := BuildFlat(pts)
+	i, d := nearest(tr, geom.Pt(2, 1))
 	if d != 0 || pts[i] != geom.Pt(2, 1) {
 		t.Fatalf("duplicate grid nearest: %d %v", i, d)
 	}
@@ -157,10 +70,10 @@ func TestQuickNearest(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		pts := randomPoints(r, int(n)+1, 50)
-		tr := Build(pts)
+		tr := BuildFlat(pts)
 		q := geom.Pt(r.Float64()*60-5, r.Float64()*60-5)
 		_, wd := bruteNearest(pts, q)
-		_, gd := tr.Nearest(q)
+		_, gd := nearest(tr, q)
 		return math.Abs(gd-wd) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -174,11 +87,11 @@ func TestClusteredSkew(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Pt(500+r.NormFloat64()*2, 500+r.NormFloat64()*2)
 	}
-	tr := Build(pts)
+	tr := BuildFlat(pts)
 	for trial := 0; trial < 300; trial++ {
 		q := geom.Pt(r.Float64()*1000, r.Float64()*1000)
 		_, wd := bruteNearest(pts, q)
-		_, gd := tr.Nearest(q)
+		_, gd := nearest(tr, q)
 		if math.Abs(gd-wd) > 1e-9 {
 			t.Fatalf("clustered q=%v: %v vs %v", q, gd, wd)
 		}

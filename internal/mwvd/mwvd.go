@@ -253,22 +253,11 @@ type Diagram struct {
 	bounds    geom.Rect
 	sites     []Site
 	metric    Metric
-	eps       float64
 	gridLevel int
 	trees     []subtree
 	mbrs      []geom.Rect
 	stats     Stats
 }
-
-// Bounds returns the diagram's search space.
-func (d *Diagram) Bounds() geom.Rect { return d.bounds }
-
-// Epsilon returns the relative error bound the diagram was refined to
-// (resolved: auto mode reports the ε actually used).
-func (d *Diagram) Epsilon() float64 { return d.eps }
-
-// GridLevel returns the task-grid pre-split depth the build used.
-func (d *Diagram) GridLevel() int { return d.gridLevel }
 
 // Stats returns build statistics.
 func (d *Diagram) Stats() Stats { return d.stats }
@@ -489,7 +478,6 @@ func build(sites []Site, bounds geom.Rect, opts Options, emitTree bool) (*Diagra
 		bounds:    bounds,
 		sites:     sites,
 		metric:    opts.Metric,
-		eps:       eps,
 		gridLevel: gl,
 		trees:     make([]subtree, 1<<(2*gl)),
 		mbrs:      make([]geom.Rect, len(sites)),

@@ -153,8 +153,8 @@ func TestAdaptiveGridWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if level > 0 && seq.GridLevel() != level {
-			t.Fatalf("TaskGridLevel=%d not honoured: got %d", level, seq.GridLevel())
+		if level > 0 && seq.gridLevel != level {
+			t.Fatalf("TaskGridLevel=%d not honoured: got %d", level, seq.gridLevel)
 		}
 		seqLeaves := collectLeaves(seq)
 		for _, workers := range []int{2, 4, 16} {

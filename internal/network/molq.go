@@ -31,32 +31,6 @@ func FromDelaunay(coords []geom.Point) (*Graph, error) {
 	return g, nil
 }
 
-// VoronoiPartition is a network Voronoi diagram: every node labelled with
-// its closest site (by network distance) and that distance.
-type VoronoiPartition struct {
-	// Sites are the generator node ids.
-	Sites []int
-	// Owner[v] is the index into Sites of node v's nearest site (-1 if
-	// unreachable); Dist[v] the network distance to it.
-	Owner []int
-	Dist  []float64
-}
-
-// NetworkVoronoi computes the network Voronoi partition of the graph for the
-// given site nodes with one multi-source Dijkstra.
-func NetworkVoronoi(g *Graph, sites []int) (*VoronoiPartition, error) {
-	if len(sites) == 0 {
-		return nil, fmt.Errorf("network: no sites")
-	}
-	for _, s := range sites {
-		if s < 0 || s >= g.NumNodes() {
-			return nil, fmt.Errorf("network: site node %d out of range", s)
-		}
-	}
-	dist, owner := g.MultiSourceDijkstra(sites)
-	return &VoronoiPartition{Sites: append([]int(nil), sites...), Owner: owner, Dist: dist}, nil
-}
-
 // TypeSites describes one object type on the network: the nodes hosting its
 // objects and the type weight w^t applied to network distance.
 type TypeSites struct {

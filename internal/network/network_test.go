@@ -162,49 +162,6 @@ func TestDisconnectedGraph(t *testing.T) {
 	}
 }
 
-func TestNetworkVoronoi(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	g := randomGraph(t, r, 120)
-	sites := []int{5, 50, 100}
-	part, err := NetworkVoronoi(g, sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every node owned; sites own themselves at distance 0.
-	for v := 0; v < g.NumNodes(); v++ {
-		if part.Owner[v] < 0 {
-			t.Fatalf("node %d unowned (Delaunay graphs are connected)", v)
-		}
-	}
-	for si, s := range sites {
-		if part.Owner[s] != si || part.Dist[s] != 0 {
-			t.Fatalf("site %d: owner %d dist %v", s, part.Owner[s], part.Dist[s])
-		}
-	}
-	// Ownership is the argmin over single-source distances.
-	for _, s := range sites {
-		_ = s
-	}
-	singles := make([][]float64, len(sites))
-	for i, s := range sites {
-		singles[i] = g.Dijkstra(s)
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		got := singles[part.Owner[v]][v]
-		for i := range sites {
-			if singles[i][v] < got-1e-9 {
-				t.Fatalf("node %d: owner %d not nearest", v, part.Owner[v])
-			}
-		}
-	}
-	if _, err := NetworkVoronoi(g, nil); err == nil {
-		t.Fatal("empty site list should fail")
-	}
-	if _, err := NetworkVoronoi(g, []int{-1}); err == nil {
-		t.Fatal("bad site node should fail")
-	}
-}
-
 func TestSolveNodeMOLQMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	g := randomGraph(t, r, 70)

@@ -144,16 +144,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// BucketCount returns the cumulative count of the bucket with upper bound
-// bounds[i] (observations <= that bound).
-func (h *Histogram) BucketCount(i int) int64 {
-	total := int64(0)
-	for j := 0; j <= i && j < len(h.counts); j++ {
-		total += h.counts[j].Load()
-	}
-	return total
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed
 // distribution by linear interpolation inside the bucket the rank falls
 // into — the same estimate Prometheus's histogram_quantile gives. Empty

@@ -95,9 +95,6 @@ type RecordedTrace struct {
 // fast-rejected request never pays the tree-to-JSON walk.
 func (t *RecordedTrace) SetRoot(s *Span) { t.root = s }
 
-// Duration returns the recorded wall-clock duration.
-func (t *RecordedTrace) Duration() time.Duration { return t.duration }
-
 // Pinned reports whether the trace is retained unconditionally (errors,
 // panics, sheds) rather than by being among the K slowest.
 func (t *RecordedTrace) Pinned() bool { return t.Outcome != "ok" }

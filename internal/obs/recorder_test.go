@@ -39,8 +39,8 @@ func TestRecorderKeepsKSlowest(t *testing.T) {
 	}
 	for i, tr := range got {
 		want := time.Duration(n-i) * time.Millisecond
-		if tr.Duration() != want {
-			t.Errorf("slowest[%d] = %v, want %v", i, tr.Duration(), want)
+		if tr.duration != want {
+			t.Errorf("slowest[%d] = %v, want %v", i, tr.duration, want)
 		}
 		if _, ok := r.Get(tr.TraceID); !ok {
 			t.Errorf("slowest[%d] (%s) not retrievable by ID", i, tr.TraceID)
@@ -123,7 +123,7 @@ func TestRecorderWindowExpiry(t *testing.T) {
 func summaryIDs(ts []*RecordedTrace) []string {
 	out := make([]string, len(ts))
 	for i, tr := range ts {
-		out[i] = fmt.Sprintf("%s/%v", tr.TraceID[:8], tr.Duration())
+		out[i] = fmt.Sprintf("%s/%v", tr.TraceID[:8], tr.duration)
 	}
 	return out
 }
@@ -175,8 +175,8 @@ func TestRecorderConcurrent(t *testing.T) {
 	// retained — the lock-free fast path may only reject traces that could
 	// not have made the final top K.
 	wantMax := time.Duration((perWorker-1)*workers+workers) * time.Microsecond
-	if slowest[0].Duration() != wantMax {
-		t.Errorf("global slowest = %v, want %v", slowest[0].Duration(), wantMax)
+	if slowest[0].duration != wantMax {
+		t.Errorf("global slowest = %v, want %v", slowest[0].duration, wantMax)
 	}
 	if errs := r.Errors(); len(errs) == 0 {
 		t.Errorf("no shed traces pinned; want the i%%97 sheds retained")

@@ -130,18 +130,6 @@ func convexIntersectSH(buf *ClipBuf, subject, clip geom.Polygon) geom.Polygon {
 	return cur
 }
 
-// ClipToRect intersects a convex polygon with an axis-aligned rectangle. The
-// result never aliases subject.
-func ClipToRect(subject geom.Polygon, r geom.Rect) geom.Polygon {
-	buf := clipBufPool.Get().(*ClipBuf)
-	out := ClipToRectBuf(buf, subject, r)
-	if out != nil {
-		out = out.Clone()
-	}
-	clipBufPool.Put(buf)
-	return out
-}
-
 // ClipToRectBuf is ClipToRect writing into buf's scratch storage; the result
 // aliases buf and is valid only until buf's next use.
 //
@@ -263,15 +251,4 @@ func clamp01(t float64) float64 {
 		return 1
 	}
 	return t
-}
-
-// VertexCount is a helper for memory accounting in the experiment harness: it
-// returns the total number of vertices held by the given polygons, matching
-// the paper's "points managed by RRB" metric (Fig 13).
-func VertexCount(pgs []geom.Polygon) int {
-	total := 0
-	for _, pg := range pgs {
-		total += len(pg)
-	}
-	return total
 }

@@ -88,7 +88,8 @@ func TestEmptyInputs(t *testing.T) {
 
 func TestClipToRect(t *testing.T) {
 	tri := geom.NewPolygon(geom.Pt(-5, -5), geom.Pt(15, -5), geom.Pt(5, 15))
-	got := ClipToRect(tri, geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)))
+	var buf ClipBuf
+	got := ClipToRectBuf(&buf, tri, geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)))
 	if got.IsEmpty() {
 		t.Fatal("clip produced empty polygon")
 	}
@@ -183,12 +184,5 @@ func TestSelfIntersection(t *testing.T) {
 		if math.Abs(got.Area()-pg.Area()) > 1e-6*pg.Area() {
 			t.Fatalf("self intersection area %v != %v", got.Area(), pg.Area())
 		}
-	}
-}
-
-func TestVertexCount(t *testing.T) {
-	pgs := []geom.Polygon{square(0, 0, 1, 1), geom.NewPolygon(geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1))}
-	if got := VertexCount(pgs); got != 7 {
-		t.Fatalf("VertexCount = %d, want 7", got)
 	}
 }

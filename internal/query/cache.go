@@ -160,17 +160,6 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Add accumulates o's lookup counters into s (snapshot fields take o's
-// values, which are newer).
-func (s *CacheStats) Add(o CacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Coalesced += o.Coalesced
-	s.Entries = o.Entries
-	s.Bytes = o.Bytes
-	s.Capacity = o.Capacity
-}
-
 // DiagramCache memoizes basic MOVDs behind a byte-budgeted LRU. It is safe
 // for concurrent use; the per-type goroutines of a parallel buildBasics and
 // the httpapi's request handlers all share one instance. The zero value is
@@ -236,21 +225,6 @@ func NewDiagramCache(byteBudget int64) *DiagramCache {
 		items:    make(map[fingerprint]*list.Element),
 		inflight: make(map[fingerprint]*flight),
 	}
-}
-
-// get returns the cached diagram for key, bumping its recency.
-func (c *DiagramCache) get(key fingerprint) (*core.MOVD, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		cacheHitsMetric.Inc()
-		return el.Value.(*cacheEntry).movd, true
-	}
-	c.misses++
-	cacheMissesMetric.Inc()
-	return nil, false
 }
 
 // getOrBuild returns the diagram for key, building it with build on a miss.
@@ -376,24 +350,6 @@ func (c *DiagramCache) Reset() {
 	c.coalesced = 0
 	// In-flight builds are left alone: their owners delete the entries when
 	// they finish, and a post-reset putLocked simply repopulates the cache.
-}
-
-// GobEncode implements gob.GobEncoder: a cache is runtime wiring, not data —
-// engine snapshots never persist its contents (and Save nils the Input.Cache
-// field anyway; this hook only keeps gob's type registration happy).
-func (c *DiagramCache) GobEncode() ([]byte, error) { return nil, nil }
-
-// GobDecode implements gob.GobDecoder, restoring a usable empty cache with
-// the default budget.
-func (c *DiagramCache) GobDecode([]byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.budget = DefaultCacheBytes
-	c.bytes = 0
-	c.ll = list.New()
-	c.items = make(map[fingerprint]*list.Element)
-	c.inflight = make(map[fingerprint]*flight)
-	return nil
 }
 
 // cache resolves which cache an input uses: its own, the process default, or

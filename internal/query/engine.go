@@ -10,7 +10,6 @@ import (
 
 	"molq/internal/core"
 	"molq/internal/fermat"
-	"molq/internal/geom"
 	"molq/internal/obs"
 	"molq/internal/voronoi"
 )
@@ -403,6 +402,9 @@ func (e *Engine) QueryContext(ctx context.Context, typeWeights []float64) (Resul
 		return res, err
 	}
 	batch := batches[0]
+	if math.IsInf(batch.Cost, 0) {
+		return res, ErrCostOverflow
+	}
 	res.Loc = batch.Loc
 	res.Cost = batch.Cost
 	res.Stats.Groups = flat.groups.Len()
@@ -478,6 +480,9 @@ func (e *Engine) QueryBatchContext(ctx context.Context, vecs [][]float64) ([]Res
 	share := elapsed / time.Duration(len(vecs))
 	out := make([]Result, len(vecs))
 	for vi, b := range batches {
+		if math.IsInf(b.Cost, 0) {
+			return nil, fmt.Errorf("vector %d: %w", vi, ErrCostOverflow)
+		}
 		out[vi] = Result{Method: e.method, Loc: b.Loc, Cost: b.Cost}
 		st2 := &out[vi].Stats
 		st2.Groups = flat.groups.Len()
@@ -496,34 +501,4 @@ func (e *Engine) QueryBatchContext(ctx context.Context, vecs [][]float64) ([]Res
 		out[0].Stats.Trace = root
 	}
 	return out, nil
-}
-
-// MWGDAt scores an arbitrary candidate location under the given type
-// weights (linear scan of the current sets).
-func (e *Engine) MWGDAt(q geom.Point, typeWeights []float64) float64 {
-	st := e.state.Load()
-	total := 0.0
-	for ti, set := range st.sets {
-		additive := e.in.kind(ti) == AdditiveObjWeights
-		wt := 1.0
-		if ti < len(typeWeights) {
-			wt = typeWeights[ti]
-		}
-		best := -1.0
-		for _, o := range set {
-			var v float64
-			if additive {
-				v = wt * (q.Dist(o.Loc) + o.ObjWeight)
-			} else {
-				v = wt * o.ObjWeight * q.Dist(o.Loc)
-			}
-			if best < 0 || v < best {
-				best = v
-			}
-		}
-		if best >= 0 {
-			total += best
-		}
-	}
-	return total
 }

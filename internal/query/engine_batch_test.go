@@ -118,6 +118,15 @@ func TestQueryBatchValidation(t *testing.T) {
 	if _, err := eng.QueryBatch([][]float64{{1, 2}, {1, -3}}); !errors.Is(err, ErrBadWeight) {
 		t.Fatalf("negative weight: err=%v, want ErrBadWeight", err)
 	}
+	// Finite weights whose cost leaves the float64 range: +Inf has no JSON
+	// encoding, so both paths refuse them.
+	huge := []float64{math.MaxFloat64, math.MaxFloat64}
+	if _, err := eng.QueryBatch([][]float64{{1, 2}, huge}); !errors.Is(err, ErrCostOverflow) {
+		t.Fatalf("overflowing batch: err=%v, want ErrCostOverflow", err)
+	}
+	if _, err := eng.Query(huge); !errors.Is(err, ErrCostOverflow) {
+		t.Fatalf("overflowing query: err=%v, want ErrCostOverflow", err)
+	}
 }
 
 // TestEngineConcurrentQueries is the shared-mutable-state audit as a test:

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"molq/internal/core"
+	"molq/internal/geom"
 )
 
 func TestEngineMatchesColdSolve(t *testing.T) {
@@ -119,4 +120,35 @@ func TestEngineReuseIsCheaper(t *testing.T) {
 	if res.Stats.OptimizeTime > eng.PrepTime() {
 		t.Fatalf("query (%v) not cheaper than prepare (%v)", res.Stats.OptimizeTime, eng.PrepTime())
 	}
+}
+
+// MWGDAt scores an arbitrary candidate location under the given type
+// weights by a linear scan of the current sets: the tests' reference for an
+// engine answer's cost.
+func (e *Engine) MWGDAt(q geom.Point, typeWeights []float64) float64 {
+	st := e.state.Load()
+	total := 0.0
+	for ti, set := range st.sets {
+		additive := e.in.kind(ti) == AdditiveObjWeights
+		wt := 1.0
+		if ti < len(typeWeights) {
+			wt = typeWeights[ti]
+		}
+		best := -1.0
+		for _, o := range set {
+			var v float64
+			if additive {
+				v = wt * (q.Dist(o.Loc) + o.ObjWeight)
+			} else {
+				v = wt * o.ObjWeight * q.Dist(o.Loc)
+			}
+			if best < 0 || v < best {
+				best = v
+			}
+		}
+		if best >= 0 {
+			total += best
+		}
+	}
+	return total
 }

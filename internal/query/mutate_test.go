@@ -1,7 +1,6 @@
 package query
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -277,9 +276,11 @@ func TestMutationWeightedRebuild(t *testing.T) {
 	}
 }
 
-// TestMutationAfterSnapshotLoad pins the snapshot interaction: a loaded
-// engine retains no basic diagrams, so its first mutation repairs by full
-// rebuild — and thereby re-arms the incremental path for the next one.
+// TestMutationAfterSnapshotLoad pins the snapshot interaction: an engine
+// restored from a prepared diagram (NewEngineFromPrepared, the path a
+// replica runs after decoding a shard snapshot) retains no basic diagrams,
+// so its first mutation repairs by full rebuild — and thereby re-arms the
+// incremental path for the next one.
 func TestMutationAfterSnapshotLoad(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	in := randomInput(r, []int{7, 6}, false)
@@ -288,11 +289,10 @@ func TestMutationAfterSnapshotLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadEngine(&buf)
+	movd, sets, _ := eng.Prepared()
+	loadedIn := in
+	loadedIn.Sets = sets
+	loaded, err := NewEngineFromPrepared(loadedIn, RRB, movd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,6 +223,10 @@ var (
 	ErrBadWeight     = errors.New("query: object weights must be positive")
 	ErrWeightedRRB   = errors.New("query: exact RRB requires uniform object weights per type (weighted Voronoi boundaries are curves; leave WeightedEpsilon ≥ 0 for approximate weighted RRB cells, or use MBRB/SSC)")
 	ErrUnknownMethod = errors.New("query: unknown method")
+	// ErrCostOverflow reports type weights under which the optimum's cost
+	// leaves the float64 range: each weight is positive and finite, but
+	// their products with the distances are not.
+	ErrCostOverflow = errors.New("query: type weights overflow the optimum's cost")
 )
 
 func (in *Input) validate() error {

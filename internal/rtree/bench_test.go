@@ -18,22 +18,8 @@ func BenchmarkBulkLoad(b *testing.B) {
 		es := benchEntries(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if tr := Bulk(es, 16); tr.Len() != n {
+				if tr := Bulk(es, 16); size(tr) != n {
 					b.Fatal("bad build")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkInsertBuild(b *testing.B) {
-	for _, n := range []int{1000, 20000} {
-		es := benchEntries(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr := New(16)
-				for _, e := range es {
-					tr.Insert(e)
 				}
 			}
 		})
@@ -58,20 +44,4 @@ func BenchmarkSearch(b *testing.B) {
 		})
 	}
 	_ = hits
-}
-
-func BenchmarkNearest(b *testing.B) {
-	es := benchEntries(100000)
-	tr := Bulk(es, 16)
-	r := rand.New(rand.NewSource(11))
-	pts := make([]geom.Point, 1024)
-	for i := range pts {
-		pts[i] = geom.Pt(r.Float64()*10000, r.Float64()*10000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := tr.Nearest(pts[i%len(pts)]); !ok {
-			b.Fatal("no result")
-		}
-	}
 }

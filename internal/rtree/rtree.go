@@ -1,14 +1,12 @@
-// Package rtree implements a classic Guttman R-tree over axis-aligned
-// rectangles, plus Sort-Tile-Recursive (STR) bulk loading. The MOLQ overlap
-// operation uses a plane sweep (Sec 5.2), but an R-tree over OVR MBRs is the
-// natural alternative candidate-detection structure — the ablation benchmark
+// Package rtree implements a static R-tree over axis-aligned rectangles,
+// bulk-loaded with Sort-Tile-Recursive packing. The MOLQ overlap operation
+// uses a plane sweep (Sec 5.2), but an R-tree over OVR MBRs is the natural
+// alternative candidate-detection structure — the ablation benchmark
 // compares the two — and the paper's disk-based future work (Sec 8) assumes
-// exactly this kind of index. It also provides best-first nearest-neighbor
-// search used by validation code.
+// exactly this kind of index.
 package rtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -21,12 +19,8 @@ type Entry struct {
 	ID  int32
 }
 
-const (
-	// DefaultMaxEntries is M, the node capacity.
-	DefaultMaxEntries = 16
-	// minFillRatio gives m = M * ratio, the minimum node occupancy.
-	minFillRatio = 0.4
-)
+// DefaultMaxEntries is M, the node capacity.
+const DefaultMaxEntries = 16
 
 type node struct {
 	leaf     bool
@@ -35,241 +29,27 @@ type node struct {
 	children []*node // internal children
 }
 
-// Tree is an R-tree. The zero value is not usable; construct with New or
+// Tree is an immutable R-tree. The zero value is not usable; construct with
 // Bulk.
 type Tree struct {
 	root *node
-	size int
-	max  int
-	min  int
-	path []*node // root→leaf path scratch reused across Inserts
 }
 
-// New returns an empty tree with node capacity maxEntries (0 means
-// DefaultMaxEntries).
-func New(maxEntries int) *Tree {
+// Bulk builds a tree over entries with Sort-Tile-Recursive packing and node
+// capacity maxEntries (values below 4 mean DefaultMaxEntries). The OVR sets
+// of an MOVD are static once built, so the tree is never updated.
+func Bulk(entries []Entry, maxEntries int) *Tree {
 	if maxEntries <= 3 {
 		maxEntries = DefaultMaxEntries
 	}
-	t := &Tree{max: maxEntries}
-	t.min = int(math.Max(2, math.Floor(float64(maxEntries)*minFillRatio)))
-	t.root = &node{leaf: true, box: geom.EmptyRect()}
-	return t
-}
-
-// Len returns the number of stored entries.
-func (t *Tree) Len() int { return t.size }
-
-// Height returns the tree height (1 for a root leaf).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
-}
-
-// Bounds returns the bounding box of all entries.
-func (t *Tree) Bounds() geom.Rect { return t.root.box }
-
-// --- Insertion (Guttman, quadratic split) ---
-
-// Insert adds an entry.
-func (t *Tree) Insert(e Entry) {
-	leaf := t.chooseLeaf(t.root, e.Box)
-	leaf.entries = append(leaf.entries, e)
-	leaf.box = leaf.box.Union(e.Box)
-	t.size++
-	t.adjust(e.Box)
-}
-
-// chooseLeaf descends by least enlargement, recording the root→leaf path in
-// t.path for adjust/split. Trees are not safe for concurrent mutation.
-func (t *Tree) chooseLeaf(n *node, box geom.Rect) *node {
-	t.path = t.path[:0]
-	for {
-		t.path = append(t.path, n)
-		if n.leaf {
-			return n
-		}
-		best := -1
-		bestEnl := math.Inf(1)
-		bestArea := math.Inf(1)
-		for i, c := range n.children {
-			enl := enlargement(c.box, box)
-			area := c.box.Area()
-			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = i, enl, area
-			}
-		}
-		n = n.children[best]
-	}
-}
-
-func enlargement(r, add geom.Rect) float64 {
-	return r.Union(add).Area() - r.Area()
-}
-
-// adjust walks the recorded path upward, growing boxes and splitting
-// overfull nodes.
-func (t *Tree) adjust(box geom.Rect) {
-	// Grow boxes along the path.
-	for _, n := range t.path {
-		n.box = n.box.Union(box)
-	}
-	// Split bottom-up.
-	for i := len(t.path) - 1; i >= 0; i-- {
-		n := t.path[i]
-		if n.fill() <= t.max {
-			continue
-		}
-		sibling := t.split(n)
-		if i == 0 {
-			// Root split: grow the tree.
-			newRoot := &node{
-				leaf:     false,
-				children: []*node{n, sibling},
-				box:      n.box.Union(sibling.box),
-			}
-			t.root = newRoot
-		} else {
-			parent := t.path[i-1]
-			parent.children = append(parent.children, sibling)
-			parent.box = parent.box.Union(sibling.box)
-		}
-	}
-}
-
-func (n *node) fill() int {
-	if n.leaf {
-		return len(n.entries)
-	}
-	return len(n.children)
-}
-
-func (n *node) boxAt(i int) geom.Rect {
-	if n.leaf {
-		return n.entries[i].Box
-	}
-	return n.children[i].box
-}
-
-// split performs Guttman's quadratic split, mutating n to hold one group and
-// returning a new sibling holding the other.
-func (t *Tree) split(n *node) *node {
-	count := n.fill()
-	// Pick seeds: the pair wasting the most area.
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < count; i++ {
-		for j := i + 1; j < count; j++ {
-			waste := n.boxAt(i).Union(n.boxAt(j)).Area() - n.boxAt(i).Area() - n.boxAt(j).Area()
-			if waste > worst {
-				worst, s1, s2 = waste, i, j
-			}
-		}
-	}
-	groupA := []int{s1}
-	groupB := []int{s2}
-	boxA, boxB := n.boxAt(s1), n.boxAt(s2)
-	assigned := make([]bool, count)
-	assigned[s1], assigned[s2] = true, true
-	remaining := count - 2
-	for remaining > 0 {
-		// Force-assign if one group must absorb the rest to reach min fill.
-		if len(groupA)+remaining == t.min {
-			for i := 0; i < count; i++ {
-				if !assigned[i] {
-					groupA = append(groupA, i)
-					boxA = boxA.Union(n.boxAt(i))
-					assigned[i] = true
-				}
-			}
-			remaining = 0
-			break
-		}
-		if len(groupB)+remaining == t.min {
-			for i := 0; i < count; i++ {
-				if !assigned[i] {
-					groupB = append(groupB, i)
-					boxB = boxB.Union(n.boxAt(i))
-					assigned[i] = true
-				}
-			}
-			remaining = 0
-			break
-		}
-		// Pick the entry with the greatest preference difference.
-		pick, pickDiff, preferA := -1, math.Inf(-1), true
-		for i := 0; i < count; i++ {
-			if assigned[i] {
-				continue
-			}
-			dA := enlargement(boxA, n.boxAt(i))
-			dB := enlargement(boxB, n.boxAt(i))
-			diff := math.Abs(dA - dB)
-			if diff > pickDiff {
-				pick, pickDiff = i, diff
-				preferA = dA < dB || (dA == dB && boxA.Area() < boxB.Area())
-			}
-		}
-		if preferA {
-			groupA = append(groupA, pick)
-			boxA = boxA.Union(n.boxAt(pick))
-		} else {
-			groupB = append(groupB, pick)
-			boxB = boxB.Union(n.boxAt(pick))
-		}
-		assigned[pick] = true
-		remaining--
-	}
-
-	sibling := &node{leaf: n.leaf}
-	if n.leaf {
-		oldEntries := n.entries
-		n.entries = make([]Entry, 0, len(groupA))
-		for _, i := range groupA {
-			n.entries = append(n.entries, oldEntries[i])
-		}
-		sibling.entries = make([]Entry, 0, len(groupB))
-		for _, i := range groupB {
-			sibling.entries = append(sibling.entries, oldEntries[i])
-		}
-	} else {
-		oldChildren := n.children
-		n.children = make([]*node, 0, len(groupA))
-		for _, i := range groupA {
-			n.children = append(n.children, oldChildren[i])
-		}
-		sibling.children = make([]*node, 0, len(groupB))
-		for _, i := range groupB {
-			sibling.children = append(sibling.children, oldChildren[i])
-		}
-	}
-	n.box, sibling.box = boxA, boxB
-	return sibling
-}
-
-// --- STR bulk load ---
-
-// Bulk builds a tree over entries with Sort-Tile-Recursive packing; far
-// faster and better-packed than repeated Insert for static data (the OVR
-// sets of an MOVD are static once built).
-func Bulk(entries []Entry, maxEntries int) *Tree {
-	t := New(maxEntries)
 	if len(entries) == 0 {
-		return t
+		return &Tree{root: &node{leaf: true, box: geom.EmptyRect()}}
 	}
-	t.size = len(entries)
-	// Leaf level.
-	leaves := strPack(entries, t.max)
-	// Build upward.
-	level := leaves
+	level := strPack(entries, maxEntries)
 	for len(level) > 1 {
-		level = strPackNodes(level, t.max)
+		level = strPackNodes(level, maxEntries)
 	}
-	t.root = level[0]
-	return t
+	return &Tree{root: level[0]}
 }
 
 func strPack(entries []Entry, m int) []*node {
@@ -349,73 +129,4 @@ func search(n *node, query geom.Rect, fn func(Entry) bool) bool {
 		}
 	}
 	return true
-}
-
-// boxDist returns the squared distance from p to the nearest point of r.
-func boxDist(p geom.Point, r geom.Rect) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return dx*dx + dy*dy
-}
-
-type nnItem struct {
-	dist  float64
-	n     *node
-	entry Entry
-	leafE bool
-}
-
-type nnHeap []nnItem
-
-func (h nnHeap) Len() int           { return len(h) }
-func (h nnHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h nnHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x any)        { *h = append(*h, x.(nnItem)) }
-func (h *nnHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-// Nearest returns the entry whose box is closest to p (distance 0 if p is
-// inside a box) using best-first search. ok is false for an empty tree.
-func (t *Tree) Nearest(p geom.Point) (e Entry, dist float64, ok bool) {
-	if t.size == 0 {
-		return Entry{}, math.Inf(1), false
-	}
-	h := &nnHeap{{dist: boxDist(p, t.root.box), n: t.root}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(nnItem)
-		if it.leafE {
-			return it.entry, math.Sqrt(it.dist), true
-		}
-		if it.n.leaf {
-			for _, e := range it.n.entries {
-				heap.Push(h, nnItem{dist: boxDist(p, e.Box), entry: e, leafE: true})
-			}
-		} else {
-			for _, c := range it.n.children {
-				heap.Push(h, nnItem{dist: boxDist(p, c.box), n: c})
-			}
-		}
-	}
-	return Entry{}, math.Inf(1), false
-}
-
-// Walk visits every entry in arbitrary order.
-func (t *Tree) Walk(fn func(Entry) bool) {
-	var rec func(n *node) bool
-	rec = func(n *node) bool {
-		if n.leaf {
-			for _, e := range n.entries {
-				if !fn(e) {
-					return false
-				}
-			}
-			return true
-		}
-		for _, c := range n.children {
-			if !rec(c) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(t.root)
 }

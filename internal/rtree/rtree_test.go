@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -41,6 +40,31 @@ func treeSearch(t *Tree, q geom.Rect) map[int32]bool {
 	return out
 }
 
+// size counts the entries stored in the tree's leaves.
+func size(t *Tree) int {
+	var rec func(n *node) int
+	rec = func(n *node) int {
+		if n.leaf {
+			return len(n.entries)
+		}
+		c := 0
+		for _, ch := range n.children {
+			c += rec(ch)
+		}
+		return c
+	}
+	return rec(t.root)
+}
+
+// height is 1 for a root leaf.
+func height(t *Tree) int {
+	h := 1
+	for n := t.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
 func sameSet(a, b map[int32]bool) bool {
 	if len(a) != len(b) {
 		return false
@@ -54,37 +78,12 @@ func sameSet(a, b map[int32]bool) bool {
 }
 
 func TestEmpty(t *testing.T) {
-	tr := New(0)
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("empty tree: len=%d height=%d", tr.Len(), tr.Height())
+	tr := Bulk(nil, 0)
+	if size(tr) != 0 || height(tr) != 1 {
+		t.Fatalf("empty tree: len=%d height=%d", size(tr), height(tr))
 	}
 	if got := treeSearch(tr, geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))); len(got) != 0 {
 		t.Fatalf("search on empty tree: %v", got)
-	}
-	if _, _, ok := tr.Nearest(geom.Pt(0, 0)); ok {
-		t.Fatal("nearest on empty tree should report !ok")
-	}
-	if bt := Bulk(nil, 0); bt.Len() != 0 {
-		t.Fatal("bulk of nil should be empty")
-	}
-}
-
-func TestInsertSearchMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	es := randomEntries(r, 2000, 1000)
-	tr := New(8)
-	for _, e := range es {
-		tr.Insert(e)
-	}
-	if tr.Len() != len(es) {
-		t.Fatalf("Len=%d want %d", tr.Len(), len(es))
-	}
-	for q := 0; q < 300; q++ {
-		x, y := r.Float64()*1000, r.Float64()*1000
-		query := geom.NewRect(geom.Pt(x, y), geom.Pt(x+r.Float64()*100, y+r.Float64()*100))
-		if !sameSet(treeSearch(tr, query), bruteSearch(es, query)) {
-			t.Fatalf("query %v mismatch", query)
-		}
 	}
 }
 
@@ -92,8 +91,8 @@ func TestBulkSearchMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	es := randomEntries(r, 5000, 1000)
 	tr := Bulk(es, 16)
-	if tr.Len() != len(es) {
-		t.Fatalf("Len=%d", tr.Len())
+	if size(tr) != len(es) {
+		t.Fatalf("Len=%d", size(tr))
 	}
 	for q := 0; q < 300; q++ {
 		x, y := r.Float64()*1000, r.Float64()*1000
@@ -104,45 +103,17 @@ func TestBulkSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestQuickInsertVsBulk(t *testing.T) {
+func TestQuickBulkMatchesBruteForce(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		es := randomEntries(r, int(n)+1, 100)
-		dyn := New(4)
-		for _, e := range es {
-			dyn.Insert(e)
-		}
 		blk := Bulk(es, 4)
 		q := geom.NewRect(geom.Pt(r.Float64()*100, r.Float64()*100),
 			geom.Pt(r.Float64()*100, r.Float64()*100))
-		want := bruteSearch(es, q)
-		return sameSet(treeSearch(dyn, q), want) && sameSet(treeSearch(blk, q), want)
+		return sameSet(treeSearch(blk, q), bruteSearch(es, q))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNearest(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	es := randomEntries(r, 1500, 1000)
-	tr := Bulk(es, 16)
-	for q := 0; q < 300; q++ {
-		p := geom.Pt(r.Float64()*1200-100, r.Float64()*1200-100)
-		got, gd, ok := tr.Nearest(p)
-		if !ok {
-			t.Fatal("nearest failed")
-		}
-		// Brute force.
-		bd := math.Inf(1)
-		for _, e := range es {
-			if d := math.Sqrt(boxDist(p, e.Box)); d < bd {
-				bd = d
-			}
-		}
-		if math.Abs(gd-bd) > 1e-9 {
-			t.Fatalf("nearest to %v: got %v (id %d), want %v", p, gd, got.ID, bd)
-		}
 	}
 }
 
@@ -159,35 +130,11 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestWalkVisitsAll(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	es := randomEntries(r, 700, 100)
-	tr := New(6)
-	for _, e := range es {
-		tr.Insert(e)
-	}
-	seen := map[int32]bool{}
-	tr.Walk(func(e Entry) bool {
-		seen[e.ID] = true
-		return true
-	})
-	if len(seen) != len(es) {
-		t.Fatalf("walk saw %d of %d", len(seen), len(es))
-	}
-}
-
 func TestHeightLogarithmic(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	es := randomEntries(r, 10000, 1000)
-	tr := New(16)
-	for _, e := range es {
-		tr.Insert(e)
-	}
-	if h := tr.Height(); h > 8 {
-		t.Fatalf("height %d too large for 10k entries, M=16", h)
-	}
 	blk := Bulk(es, 16)
-	if h := blk.Height(); h > 5 {
+	if h := height(blk); h > 5 {
 		t.Fatalf("bulk height %d too large", h)
 	}
 }
@@ -195,10 +142,7 @@ func TestHeightLogarithmic(t *testing.T) {
 func TestNodeBoxesCoverEntries(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	es := randomEntries(r, 3000, 500)
-	tr := New(8)
-	for _, e := range es {
-		tr.Insert(e)
-	}
+	tr := Bulk(es, 8)
 	var check func(n *node) geom.Rect
 	check = func(n *node) geom.Rect {
 		got := geom.EmptyRect()
@@ -217,9 +161,6 @@ func TestNodeBoxesCoverEntries(t *testing.T) {
 		return got
 	}
 	check(tr.root)
-	if !tr.Bounds().ContainsRect(check(tr.root)) {
-		t.Fatal("tree bounds wrong")
-	}
 }
 
 func TestPointEntries(t *testing.T) {
@@ -233,9 +174,5 @@ func TestPointEntries(t *testing.T) {
 	got := treeSearch(tr, geom.NewRect(geom.Pt(50, 0), geom.Pt(59, 9)))
 	if len(got) != 10 {
 		t.Fatalf("point query found %d, want 10", len(got))
-	}
-	e, d, ok := tr.Nearest(geom.Pt(42.4, 2))
-	if !ok || e.ID != 42 || d > 0.5 {
-		t.Fatalf("nearest point entry: %+v d=%v", e, d)
 	}
 }

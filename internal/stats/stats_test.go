@@ -31,14 +31,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRowf("%d\t%s", 7, "x")
-	if !strings.Contains(tb.String(), "7") {
-		t.Fatal("AddRowf row missing")
-	}
-}
-
 func TestAddRowPadding(t *testing.T) {
 	tb := NewTable("", "a", "b", "c")
 	tb.AddRow("only")
@@ -131,15 +123,6 @@ func TestBytes(t *testing.T) {
 	}
 	if got := Bytes(3 * 1024 * 1024); got != "3.0MiB" {
 		t.Fatalf("Bytes = %q", got)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(1, 2)
-	s.Add(3, 4)
-	if len(s.X) != 2 || s.Y[1] != 4 {
-		t.Fatalf("series = %+v", s)
 	}
 }
 

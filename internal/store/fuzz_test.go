@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzReadMOVD checks the snapshot decoder never panics or over-allocates on
-// arbitrary input, and that valid snapshots round-trip.
+// arbitrary input (TestHostileHeaders' budget: a fixed 256 KiB plus 16× the
+// input length), and that valid snapshots round-trip.
 func FuzzReadMOVD(f *testing.F) {
 	// Seed with a valid snapshot and some corruptions of it.
 	m := &core.MOVD{
@@ -39,8 +40,14 @@ func FuzzReadMOVD(f *testing.F) {
 		flipped[7] ^= 0xFF
 		f.Add(flipped)
 	}
+	f.Add(movdHead(nil, 0, maxReasonable))
+	f.Add(minimalRecords(movdHead(nil, 0, -1), 100))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadMOVD(bytes.NewReader(data))
+		var got *core.MOVD
+		var err error
+		if n := allocDuring(func() { got, err = ReadMOVD(bytes.NewReader(data)) }); n > hostileBudget(len(data)) {
+			t.Fatalf("%d-byte stream allocated %d bytes, budget %d", len(data), n, hostileBudget(len(data)))
+		}
 		if err != nil {
 			return // malformed inputs must fail cleanly, not panic
 		}
@@ -53,9 +60,10 @@ func FuzzReadMOVD(f *testing.F) {
 }
 
 // FuzzReadShard checks the shard snapshot decoder never panics or
-// over-allocates on arbitrary input — the replica's install route is exempt
-// from the HTTP body cap, so this decoder is what bounds it — and that
-// anything it accepts re-encodes to a stable form.
+// over-allocates on arbitrary input (the same budget as FuzzReadMOVD) — the
+// replica's install route is exempt from the HTTP body cap, so this decoder
+// is what bounds it — and that anything it accepts re-encodes to a stable
+// form.
 func FuzzReadShard(f *testing.F) {
 	m := &core.MOVD{
 		Mode:   core.RRB,
@@ -103,8 +111,15 @@ func FuzzReadShard(f *testing.F) {
 		flipped[at] ^= 0xFF
 		f.Add(flipped)
 	}
+	f.Add(shardHead(nil, 0, 1<<16))
+	f.Add(movdHead(sealMeta(shardHead(nil, 0, 0)), 0, maxReasonable))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		meta, m, err := ReadShard(bytes.NewReader(data))
+		var meta ShardMeta
+		var m *core.MOVD
+		var err error
+		if n := allocDuring(func() { meta, m, err = ReadShard(bytes.NewReader(data)) }); n > hostileBudget(len(data)) {
+			t.Fatalf("%d-byte stream allocated %d bytes, budget %d", len(data), n, hostileBudget(len(data)))
+		}
 		if err != nil {
 			return // malformed inputs must fail cleanly, not panic
 		}

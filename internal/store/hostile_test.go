@@ -14,10 +14,11 @@ import (
 // of the bytes that actually arrived.
 func hostileBudget(n int) uint64 { return 256<<10 + 16*uint64(n) }
 
-// allocDuring reports the bytes allocated while f runs.
+// allocDuring reports the bytes allocated while f runs. TotalAlloc only
+// grows and ReadMemStats flushes the per-P allocation caches into it, so no
+// collection is needed first; the fuzz targets call this on every input.
 func allocDuring(f func()) uint64 {
 	var before, after runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)

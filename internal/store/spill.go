@@ -13,7 +13,7 @@ import (
 // OverlapToFile evaluates a ⊕ b streaming every surviving OVR straight to
 // path, so only the operands — never the (potentially far larger) result —
 // are resident. The file is a standard snapshot with an unknown (-1) count
-// and can be read back with LoadMOVD or scanned with IterateOVRs. prune is
+// and can be read back with ReadMOVD or scanned with IterateOVRs. prune is
 // optional (see core.PruneFunc). The sweep is core.OverlapStream's
 // sequential one, so the stored OVR order is deterministic.
 func OverlapToFile(a, b *core.MOVD, prune core.PruneFunc, path string) (core.OverlapStats, error) {

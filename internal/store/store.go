@@ -41,7 +41,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"slices"
 	"unsafe"
 
@@ -640,27 +639,4 @@ func (r *reader) movd() (*core.MOVD, error) {
 		}
 		m.OVRs = append(growFor(m.OVRs, 1, total), o)
 	}
-}
-
-// SaveMOVD writes a snapshot to path.
-func SaveMOVD(path string, m *core.MOVD) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteMOVD(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadMOVD reads a snapshot from path.
-func LoadMOVD(path string) (*core.MOVD, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadMOVD(f)
 }

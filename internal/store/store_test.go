@@ -96,21 +96,6 @@ func TestRoundTripMBRB(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	m := buildMOVD(t, 3, 15, 0, core.RRB)
-	path := filepath.Join(t.TempDir(), "m.movd")
-	if err := SaveMOVD(path, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadMOVD(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !movdEqual(m, got) {
-		t.Fatal("file round trip lost data")
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	if _, err := ReadMOVD(bytes.NewReader([]byte("NOPE----------------"))); err != ErrBadMagic {
 		t.Fatalf("want ErrBadMagic, got %v", err)
@@ -191,7 +176,12 @@ func TestOverlapToFileMatchesInMemory(t *testing.T) {
 	if stats.OutputOVRs != memStats.OutputOVRs {
 		t.Fatalf("spill emitted %d OVRs, memory %d", stats.OutputOVRs, memStats.OutputOVRs)
 	}
-	disk, err := LoadMOVD(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	disk, err := ReadMOVD(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,9 +116,6 @@ func NewDynamic(sites []geom.Point, bounds geom.Rect) (*Dynamic, error) {
 // Bounds returns the clip rectangle of extracted cells.
 func (d *Dynamic) Bounds() geom.Rect { return d.bounds }
 
-// Len reports the number of live sites.
-func (d *Dynamic) Len() int { return d.live }
-
 // Slots reports the total number of slots ever assigned (live or dead);
 // valid slots are 0..Slots()-1.
 func (d *Dynamic) Slots() int { return len(d.sites) }
@@ -126,14 +123,6 @@ func (d *Dynamic) Slots() int { return len(d.sites) }
 // Alive reports whether slot holds a live site.
 func (d *Dynamic) Alive(slot int) bool {
 	return slot >= 0 && slot < len(d.vert) && d.vert[slot] >= 0
-}
-
-// Site returns the location of a live slot.
-func (d *Dynamic) Site(slot int) (geom.Point, error) {
-	if !d.Alive(slot) {
-		return geom.Point{}, ErrDeadSlot
-	}
-	return d.sites[slot], nil
 }
 
 // repairVertTri points vertTri at the triangles created by the latest

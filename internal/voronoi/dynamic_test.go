@@ -84,11 +84,10 @@ func liveSites(d *Dynamic) ([]int, []geom.Point) {
 }
 
 func mustSite(d *Dynamic, slot int) geom.Point {
-	p, err := d.Site(slot)
-	if err != nil {
-		panic(err)
+	if !d.Alive(slot) {
+		panic(ErrDeadSlot)
 	}
-	return p
+	return d.sites[slot]
 }
 
 // checkAgainstCompute rebuilds the diagram of the live sites from scratch and
@@ -210,12 +209,12 @@ func TestDynamicDeleteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for d.Len() > 3 {
+	for d.live > 3 {
 		slots, _ := liveSites(d)
 		slot := slots[rng.Intn(len(slots))]
 		dirty, err := d.Delete(slot)
 		if err != nil {
-			t.Fatalf("delete slot %d at %d live: %v", slot, d.Len(), err)
+			t.Fatalf("delete slot %d at %d live: %v", slot, d.live, err)
 		}
 		if d.Alive(slot) {
 			t.Fatalf("slot %d still alive after delete", slot)
@@ -237,7 +236,7 @@ func TestDynamicMixedOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for op := 0; op < 250; op++ {
-		if rng.Intn(2) == 0 && d.Len() > 5 {
+		if rng.Intn(2) == 0 && d.live > 5 {
 			slots, _ := liveSites(d)
 			if _, err := d.Delete(slots[rng.Intn(len(slots))]); err != nil {
 				t.Fatalf("op %d delete: %v", op, err)
@@ -282,7 +281,7 @@ func TestDynamicDirtyExactness(t *testing.T) {
 	for op := 0; op < 120; op++ {
 		before := snapshot()
 		touched := make(map[int]bool)
-		if rng.Intn(2) == 0 && d.Len() > 5 {
+		if rng.Intn(2) == 0 && d.live > 5 {
 			slots, _ := liveSites(d)
 			victim := slots[rng.Intn(len(slots))]
 			dirty, err := d.Delete(victim)
@@ -404,7 +403,7 @@ func TestDynamicDeleteFarFromOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for op := 0; d.Len() > 20; op++ {
+	for op := 0; d.live > 20; op++ {
 		slots, _ := liveSites(d)
 		if _, err := d.Delete(slots[rng.Intn(len(slots))]); err != nil {
 			t.Fatalf("delete %d: %v", op, err)
